@@ -6,8 +6,9 @@
 //  - end-to-end summarize latency (the paper: "within 5 minutes")
 //
 // Emits machine-readable JSON via the standard google-benchmark flags
-// (--benchmark_out=<path> --benchmark_out_format=json); bench/run_bench.sh
-// wires this up to track the perf trajectory across PRs. A --threads N flag
+// (--benchmark_out=<path> --benchmark_out_format=json). The end-to-end
+// benchmark with per-layer metrics is perfbench/ (perfbench/README.md). A
+// --threads N flag
 // (or SSUM_THREADS) sets the default worker count for the parallel kernels;
 // the *Threads benchmarks override it per-run.
 
@@ -281,41 +282,12 @@ void BM_WalkEngineBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_WalkEngineBatched)->Unit(benchmark::kMillisecond);
 
-/// Lane-width head-to-head (arg = lanes): both widths are compiled into
-/// every build, so this compares 8-wide (one cache line per lane block)
-/// against 16-wide (two lines, fewer per-edge gathers) on the same plan
-/// regardless of the configure-time SSUM_WALK_LANE_WIDTH choice.
-void BM_WalkEngineLaneWidth(benchmark::State& state) {
-  const WalkFixture& f = WalkFixture::Get();
-  const size_t n = f.plan.size();
-  std::vector<double> buf(n * n);
-  std::vector<ElementId> sources(n);
-  std::vector<std::span<double>> rows(n);
-  for (ElementId s = 0; s < n; ++s) {
-    sources[s] = s;
-    rows[s] = {buf.data() + static_cast<size_t>(s) * n, n};
-  }
-  const size_t lanes = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    if (lanes == 8) {
-      MaxProductWalksBatchW<8>(f.plan, sources, f.walk, rows);
-    } else {
-      MaxProductWalksBatchW<16>(f.plan, sources, f.walk, rows);
-    }
-    benchmark::DoNotOptimize(buf.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
-}
-BENCHMARK(BM_WalkEngineLaneWidth)->Arg(8)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 // Expanded BENCHMARK_MAIN so --threads can be consumed before
-// benchmark::Initialize rejects it as an unknown flag, and so the recorded
-// trajectory can never contain debug-build numbers: any --benchmark_out
-// request from a non-release build is refused with exit 2
-// (bench/run_bench.sh builds the dedicated Release tree in build-bench/).
+// benchmark::Initialize rejects it as an unknown flag, and so a recorded
+// JSON file can never contain debug-build numbers: any --benchmark_out
+// request from a non-release build is refused with exit 2.
 int main(int argc, char** argv) {
   ssum::ConsumeThreadsFlag(&argc, argv);
   if (!ssum::IsReleaseBuild()) {

@@ -2,8 +2,8 @@
 // over every case file in bench/scenarios/ (datasets/scenario.h), gating
 // per-case determinism and sanity invariants.
 //
-//   scenario_matrix [--json <path>] [--gate-only] [--tier quick|full|all]
-//                   [--case NAME] [--dir DIR] [--threads N]
+//   scenario_matrix [--tier quick|full|all] [--case NAME] [--dir DIR]
+//                   [--threads N]
 //
 // Gates (a violated gate fails the run, every build type):
 //   - annotation determinism: the sharded pass (t=1 and t=8, auto shard
@@ -17,22 +17,17 @@
 //     non-decreasing over increasing k;
 //   - workload: the scenario samples at least one query.
 //
-// --json writes the machine-readable trajectory record consumed by
-// bench/run_bench.sh (checked in as BENCH_scenario.json at the repo root);
-// timings are only meaningful — and JSON only permitted — in Release builds.
-// --gate-only runs every gate without writing JSON (the CI scenarios stage).
-// --tier selects which cases run: per-PR CI runs quick (the default), the
-// nightly matrix runs full or all. --case restricts to one case by name.
+// Every run checks the gates and nothing else; timings live in the
+// benchmark (perfbench/README.md). --tier selects which cases run: per-PR
+// CI runs quick (the default), the nightly matrix runs full or all. --case
+// restricts to one case by name.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "common/buildinfo.h"
 #include "common/parallel.h"
 #include "core/metrics.h"
 #include "core/summarize.h"
@@ -46,36 +41,6 @@
 namespace {
 
 using namespace ssum;
-
-constexpr double kTargetMs = 25.0;  // per timing batch, keeps the bench quick
-constexpr int kBatches = 3;         // min-of-k batches rejects host noise
-
-template <typename Fn>
-double OnceMs(const Fn& fn) {
-  using clock = std::chrono::steady_clock;
-  const auto t0 = clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-}
-
-template <typename Fn>
-double TimeMs(const Fn& fn) {
-  const double once = OnceMs(fn);  // warm-up + calibration
-  int reps = 1;
-  if (once < kTargetMs) {
-    reps = static_cast<int>(kTargetMs / (once > 1e-3 ? once : 1e-3)) + 1;
-    if (reps > 10000) reps = 10000;
-  }
-  double best = 0.0;
-  for (int b = 0; b < kBatches; ++b) {
-    const double ms = OnceMs([&] {
-                        for (int i = 0; i < reps; ++i) fn();
-                      }) /
-                      reps;
-    if (b == 0 || ms < best) best = ms;
-  }
-  return best;
-}
 
 struct KPoint {
   size_t k;
@@ -91,17 +56,9 @@ struct CaseReport {
   size_t queries = 0;
   size_t k = 0;
   size_t summary_size = 0;
-  double annotate_serial_ms = 0;
-  double annotate_sharded_ms = 0;  // t=8, auto shard count
-  double summarize_ms = 0;         // context build + selection, t=8
   bool deterministic = true;
   bool gates_ok = true;
   std::vector<KPoint> k_sweep;
-
-  double AnnotateSpeedup() const {
-    return annotate_sharded_ms > 0 ? annotate_serial_ms / annotate_sharded_ms
-                                   : 0;
-  }
 };
 
 bool SameSummary(const SchemaSummary& a, const SchemaSummary& b) {
@@ -269,110 +226,42 @@ bool RunCase(const ScenarioSpec& spec, CaseReport* report) {
     }
   }
 
-  // --- timings (trajectory record; min-of-k batches) -----------------------
-  report->annotate_serial_ms =
-      TimeMs([&] { (void)AnnotateSchema(*ds.MakeStream()); });
-  report->annotate_sharded_ms = TimeMs([&] {
-    ShardedAnnotateOptions opts;
-    opts.parallel.threads = 8;
-    (void)AnnotateSchemaSharded(*source, opts);
-  });
-  report->summarize_ms = TimeMs([&] {
-    SummarizeOptions opts;
-    opts.parallel.threads = 8;
-    (void)Summarize(ds.schema(), serial, spec.summary_k,
-                    Algorithm::kBalanceSummary, opts);
-  });
   return ok;
 }
 
 void PrintCase(const CaseReport& r) {
   std::printf(
       "%-15s (%s, %zu elements, %llu units, %llu nodes, %zu queries)\n"
-      "  annotate %8.3fms serial %8.3fms sharded-t8 (%.1fx)   "
-      "summarize %8.3fms   |summary| %zu/%zu   %s\n  coverage sweep:",
+      "  |summary| %zu/%zu   %s\n  coverage sweep:",
       r.name.c_str(), r.tier.c_str(), r.elements,
       static_cast<unsigned long long>(r.units),
       static_cast<unsigned long long>(r.data_nodes), r.queries,
-      r.annotate_serial_ms, r.annotate_sharded_ms, r.AnnotateSpeedup(),
-      r.summarize_ms, r.summary_size, r.k,
-      r.deterministic && r.gates_ok ? "ok" : "FAILED");
+      r.summary_size, r.k, r.deterministic && r.gates_ok ? "ok" : "FAILED");
   for (const KPoint& p : r.k_sweep) {
     std::printf("  k=%zu %.4f", p.k, p.coverage);
   }
   std::printf("\n");
 }
 
-void WriteJson(const std::string& path, const std::vector<CaseReport>& reports,
-               bool all_ok) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
-  }
-  out << "{\n"
-      << "  \"bench\": \"scenario_matrix\",\n"
-      << "  \"build_type\": \"" << BuildType() << "\",\n"
-      << "  \"hardware_threads\": " << HardwareThreadCount() << ",\n"
-      << "  \"cases_run\": " << reports.size() << ",\n"
-      << "  \"all_gates_ok\": " << (all_ok ? "true" : "false") << ",\n"
-      << "  \"cases\": [\n";
-  for (size_t i = 0; i < reports.size(); ++i) {
-    const CaseReport& r = reports[i];
-    char buf[768];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"name\": \"%s\", \"tier\": \"%s\", \"elements\": %zu, "
-        "\"units\": %llu, \"data_nodes\": %llu, \"queries\": %zu,\n"
-        "     \"k\": %zu, \"summary_size\": %zu,\n"
-        "     \"annotate_serial_ms\": %.4f, \"annotate_sharded_t8_ms\": %.4f, "
-        "\"annotate_speedup\": %.3f, \"summarize_ms\": %.4f,\n"
-        "     \"deterministic\": %s, \"gates_ok\": %s, \"k_sweep\": [",
-        r.name.c_str(), r.tier.c_str(), r.elements,
-        static_cast<unsigned long long>(r.units),
-        static_cast<unsigned long long>(r.data_nodes), r.queries, r.k,
-        r.summary_size, r.annotate_serial_ms, r.annotate_sharded_ms,
-        r.AnnotateSpeedup(), r.summarize_ms,
-        r.deterministic ? "true" : "false", r.gates_ok ? "true" : "false");
-    out << buf;
-    for (size_t j = 0; j < r.k_sweep.size(); ++j) {
-      std::snprintf(buf, sizeof(buf), "{\"k\": %zu, \"coverage\": %.6f}",
-                    r.k_sweep[j].k, r.k_sweep[j].coverage);
-      out << buf << (j + 1 < r.k_sweep.size() ? ", " : "");
-    }
-    out << "]}" << (i + 1 < reports.size() ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
-  std::fprintf(stderr, "JSON written to %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   ssum::ConsumeThreadsFlag(&argc, argv);
-  std::string json_path;
   std::string tier = "quick";
   std::string only_case;
   std::string dir = SSUM_SCENARIO_CASE_DIR;
-  bool gate_only = false;
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
-    if (a == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (a.rfind("--json=", 0) == 0) {
-      json_path = a.substr(7);
-    } else if (a == "--tier" && i + 1 < argc) {
+    if (a == "--tier" && i + 1 < argc) {
       tier = argv[++i];
     } else if (a == "--case" && i + 1 < argc) {
       only_case = argv[++i];
     } else if (a == "--dir" && i + 1 < argc) {
       dir = argv[++i];
-    } else if (a == "--gate-only") {
-      gate_only = true;
     } else {
       std::fprintf(stderr,
-                   "usage: scenario_matrix [--json <path>] [--gate-only] "
-                   "[--tier quick|full|all] [--case NAME] [--dir DIR]\n");
+                   "usage: scenario_matrix [--tier quick|full|all] "
+                   "[--case NAME] [--dir DIR]\n");
       return 2;
     }
   }
@@ -381,15 +270,6 @@ int main(int argc, char** argv) {
                  tier.c_str());
     return 2;
   }
-  if (!json_path.empty() && !IsReleaseBuild()) {
-    std::fprintf(stderr,
-                 "scenario_matrix: refusing to emit gated JSON from a '%s' "
-                 "build; configure with -DCMAKE_BUILD_TYPE=Release "
-                 "(bench/run_bench.sh does this in build-bench/)\n",
-                 BuildType());
-    return 2;
-  }
-
   std::vector<std::string> files;
   {
     std::error_code ec;
@@ -406,10 +286,8 @@ int main(int argc, char** argv) {
   }
   std::sort(files.begin(), files.end());  // deterministic case order
 
-  std::printf("scenario matrix — %u hardware thread(s), %s build, tier %s, "
-              "%zu case file(s) in %s\n\n",
-              ssum::HardwareThreadCount(), ssum::BuildType(), tier.c_str(),
-              files.size(), dir.c_str());
+  std::printf("scenario matrix — tier %s, %zu case file(s) in %s\n\n",
+              tier.c_str(), files.size(), dir.c_str());
 
   bool all_ok = true;
   std::vector<CaseReport> reports;
@@ -434,9 +312,6 @@ int main(int argc, char** argv) {
                  "scenario_matrix: no case matched (tier %s, case '%s')\n",
                  tier.c_str(), only_case.c_str());
     return 2;
-  }
-  if (!json_path.empty() && !gate_only) {
-    WriteJson(json_path, reports, all_ok);
   }
   if (!all_ok) {
     std::fprintf(stderr, "BENCH GATE FAILED (see lines above)\n");

@@ -4,15 +4,13 @@ namespace ssum {
 
 /// The CMAKE_BUILD_TYPE this library was compiled with ("Release",
 /// "RelWithDebInfo", "Debug", ...); "unknown" when the build system did not
-/// provide one. Benches embed this in every emitted JSON record so a perf
-/// trajectory can never silently mix debug and release numbers.
+/// provide one. The benchmark prints it in its header and refuses any build
+/// but Release, so its records never mix debug and release numbers.
 const char* BuildType();
 
 /// True for optimized build types (Release / RelWithDebInfo / MinSizeRel)
-/// compiled with NDEBUG. Gated benches refuse (exit 2) to emit their JSON
-/// records when this is false — debug numbers must never enter the
-/// checked-in perf trajectory (bench/run_bench.sh builds a dedicated
-/// Release tree for exactly this reason).
+/// compiled with NDEBUG. perf_microbench refuses (exit 2) to write a JSON
+/// file when this is false.
 bool IsReleaseBuild();
 
 }  // namespace ssum

@@ -32,13 +32,13 @@ namespace ssum {
 ///
 /// The sketched objective F(S) = sum_e max_{s in S} sketch_s[e] is monotone
 /// submodular; the selected set approximates the paper's assignment-based
-/// summary coverage, and bench/approx_scaling gates the end-to-end quality
+/// summary coverage, and tests/test_approx.cc checks the end-to-end quality
 /// at >= 0.95x the exact selection on the paper's three datasets.
 ///
 /// Determinism: sketch construction is parallel with one writer per
 /// candidate, pruning and selection are serial — results are bit-identical
-/// for every thread count and across repeated runs (gated in
-/// bench/approx_scaling and replayed under TSAN).
+/// for every thread count and across repeated runs (tests/test_approx.cc,
+/// replayed under TSAN).
 struct ApproxCoverOptions {
   /// Sketch-truncation knob: each candidate's sketch keeps the smallest
   /// exponent-bucketed prefix of its coverage row whose mass is at least

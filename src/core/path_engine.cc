@@ -110,9 +110,8 @@ struct BatchScratch {
 };
 
 inline double* AssumeLaneAligned(double* p) {
-  // Every vertex's lane block is kB doubles = one or two whole 64-byte
-  // lines into a 64-byte-aligned array (kB * 8 is a multiple of 64 for
-  // both supported widths).
+  // Every vertex's lane block is kB doubles = one whole 64-byte line into a
+  // 64-byte-aligned array.
   return static_cast<double*>(__builtin_assume_aligned(p, 64));
 }
 
@@ -200,11 +199,11 @@ void RunLaneBlock(const WalkPlan& plan, const ElementId* sources, size_t count,
 
 }  // namespace
 
-template <size_t kLanes>
-void MaxProductWalksBatchW(const WalkPlan& plan,
-                           std::span<const ElementId> sources,
-                           const WalkSearchOptions& options,
-                           std::span<const std::span<double>> out_rows) {
+void MaxProductWalksBatch(const WalkPlan& plan,
+                          std::span<const ElementId> sources,
+                          const WalkSearchOptions& options,
+                          std::span<const std::span<double>> out_rows) {
+  constexpr size_t kLanes = kWalkLaneWidth;
   const size_t n = plan.num_elements;
   SSUM_CHECK(sources.size() == out_rows.size(),
              "MaxProductWalksBatch: sources/out_rows size mismatch");
@@ -219,22 +218,6 @@ void MaxProductWalksBatchW(const WalkPlan& plan,
     RunLaneBlock<kLanes>(plan, sources.data() + b, count, options, scratch,
                          out_rows.data() + b);
   }
-}
-
-template void MaxProductWalksBatchW<8>(const WalkPlan&,
-                                       std::span<const ElementId>,
-                                       const WalkSearchOptions&,
-                                       std::span<const std::span<double>>);
-template void MaxProductWalksBatchW<16>(const WalkPlan&,
-                                        std::span<const ElementId>,
-                                        const WalkSearchOptions&,
-                                        std::span<const std::span<double>>);
-
-void MaxProductWalksBatch(const WalkPlan& plan,
-                          std::span<const ElementId> sources,
-                          const WalkSearchOptions& options,
-                          std::span<const std::span<double>> out_rows) {
-  MaxProductWalksBatchW<kWalkLaneWidth>(plan, sources, options, out_rows);
 }
 
 std::vector<uint8_t> DirtyFrontierClosure(const SchemaGraph& graph,

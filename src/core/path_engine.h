@@ -52,19 +52,9 @@ using AlignedVector = std::vector<T, AlignedAllocator<T, 64>>;
 
 /// Lane width of the batched walk kernel: MaxProductWalksBatch advances this
 /// many sources through each relaxation step simultaneously. 8 doubles fill
-/// one cache line (and one AVX-512 register / two AVX ones); 16 spans two
-/// lines and amortizes the per-edge gather further on wide cores. The width
-/// is a configure-time choice (-DSSUM_WALK_LANE_WIDTH=8|16, CMake cache
-/// variable of the same name); both kernels are always compiled, so
-/// perf_microbench compares them head-to-head on any build. The last block
-/// of a batch is padded with inactive lanes.
-#ifndef SSUM_WALK_LANE_WIDTH
-#define SSUM_WALK_LANE_WIDTH 8
-#endif
-inline constexpr size_t kWalkLaneWidth = SSUM_WALK_LANE_WIDTH;
-static_assert(kWalkLaneWidth == 8 || kWalkLaneWidth == 16,
-              "SSUM_WALK_LANE_WIDTH must be 8 or 16 (lane blocks must fill "
-              "whole 64-byte cache lines)");
+/// one 64-byte cache line (and one AVX-512 register / two AVX ones). The
+/// last block of a batch is padded with inactive lanes.
+inline constexpr size_t kWalkLaneWidth = 8;
 
 /// Immutable CSR snapshot of (graph, factors), built once per matrix and
 /// shared by every walk from it. Replaces the pointer-chasing
@@ -139,24 +129,6 @@ void MaxProductWalksBatch(const WalkPlan& plan,
                           std::span<const ElementId> sources,
                           const WalkSearchOptions& options,
                           std::span<const std::span<double>> out_rows);
-
-/// Width-explicit batched walk search: identical contract to
-/// MaxProductWalksBatch but with the lane width as a template parameter.
-/// Both widths are instantiated in every build (path_engine.cc), so the
-/// lane-width microbench can compare 8 vs 16 without reconfiguring;
-/// MaxProductWalksBatch itself forwards to the kWalkLaneWidth instance.
-template <size_t kLanes>
-void MaxProductWalksBatchW(const WalkPlan& plan,
-                           std::span<const ElementId> sources,
-                           const WalkSearchOptions& options,
-                           std::span<const std::span<double>> out_rows);
-
-extern template void MaxProductWalksBatchW<8>(
-    const WalkPlan&, std::span<const ElementId>, const WalkSearchOptions&,
-    std::span<const std::span<double>>);
-extern template void MaxProductWalksBatchW<16>(
-    const WalkPlan&, std::span<const ElementId>, const WalkSearchOptions&,
-    std::span<const std::span<double>>);
 
 /// Dirty-frontier closure for incremental matrix patching: the set of
 /// elements (as an n-byte 0/1 mask) within `max_steps` hops of any element

@@ -338,7 +338,7 @@ Result<std::vector<ElementId>> ExactMaxCoverage(
   // Sharding only pays when each shard has its own core: requesting more
   // threads than the hardware offers just adds scheduling overhead on top of
   // an unchanged serial scan (a 0.58x slowdown at 4 requested threads on a
-  // 1-core host, BENCH_parallel.json). Clamp the enumeration width to the
+  // 1-core host). Clamp the enumeration width to the
   // hardware, scan serially when the rank space is too small to amortize the
   // pool, and cut ~4 shards per thread otherwise. Shard boundaries depend
   // only on the total and the grain, and the reduction is order-independent,
@@ -589,15 +589,6 @@ Result<SchemaSummary> Summarize(const SummarizerContext& context, size_t k,
                       std::move(selected));
 }
 
-Result<SchemaSummary> Summarize(const SchemaGraph& graph,
-                                const Annotations& annotations, size_t k,
-                                Algorithm algorithm,
-                                const SummarizeOptions& options) {
-  auto context = SummarizerContext::Make(graph, annotations, options);
-  SSUM_RETURN_NOT_OK(context.status());
-  return Summarize(*context, k, algorithm);
-}
-
 Fingerprint SummaryFingerprint(const SchemaGraph& graph,
                                const Annotations& annotations,
                                const SummarizeOptions& options, size_t k,
@@ -633,14 +624,16 @@ Result<SchemaSummary> Summarize(const SchemaGraph& graph,
   // hit skips everything; otherwise the context constructor tries the two
   // matrices; whatever was computed is installed for the next invocation.
   SSUM_RETURN_NOT_OK(options.parallel.deadline.Check("summarize"));
-  if (cache == nullptr) return Summarize(graph, annotations, k, algorithm, options);
-  const Fingerprint key =
-      SummaryFingerprint(graph, annotations, options, k, algorithm);
-  if (auto hit = cache->LoadSummary(graph, key)) return std::move(*hit);
+  Fingerprint key;
+  if (cache != nullptr) {
+    key = SummaryFingerprint(graph, annotations, options, k, algorithm);
+    if (auto hit = cache->LoadSummary(graph, key)) return std::move(*hit);
+  }
   auto context = SummarizerContext::Make(graph, annotations, options, cache);
   SSUM_RETURN_NOT_OK(context.status());
   SchemaSummary summary;
   SSUM_ASSIGN_OR_RETURN(summary, Summarize(*context, k, algorithm));
+  if (cache == nullptr) return summary;
   if (Status s = cache->StoreSummary(key, summary); !s.ok()) {
     SSUM_LOG(kWarning) << "summary install failed: " << s.ToString();
   }

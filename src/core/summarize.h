@@ -31,7 +31,7 @@ const char* AlgorithmName(Algorithm a);
 /// budgeted greedy fallback) or the approximate lazy-greedy engine over
 /// sketched coverage rows (core/approx_cover.h). Approximate selection is
 /// near-linear and reaches schema sizes where the exact path is infeasible;
-/// bench/approx_scaling gates its quality at >= 0.95x exact.
+/// tests/test_approx.cc checks its quality at >= 0.95x exact.
 enum class SummaryMode : unsigned char {
   kExact = 0,
   kApprox,
@@ -164,12 +164,6 @@ Result<std::vector<ElementId>> SelectBalanced(const SummarizerContext& context,
 Result<SchemaSummary> Summarize(const SummarizerContext& context, size_t k,
                                 Algorithm algorithm = Algorithm::kBalanceSummary);
 
-/// One-shot convenience: builds a context and summarizes.
-Result<SchemaSummary> Summarize(const SchemaGraph& graph,
-                                const Annotations& annotations, size_t k,
-                                Algorithm algorithm = Algorithm::kBalanceSummary,
-                                const SummarizeOptions& options = {});
-
 /// Cache key of a finished summary: everything the selection depends on —
 /// schema, statistics, matrix-relevant options, selection options, K and
 /// the algorithm.
@@ -178,14 +172,15 @@ Fingerprint SummaryFingerprint(const SchemaGraph& graph,
                                const SummarizeOptions& options, size_t k,
                                Algorithm algorithm);
 
-/// Warm-start one-shot: a cached summary is returned without building a
-/// context at all (zero annotation/matrix/selection computation); otherwise
-/// the context warm-starts its matrices from `cache` and the computed
-/// summary is installed for the next invocation. `cache` may be null.
+/// One-shot convenience: builds a context and summarizes. With a `cache`, a
+/// cached summary is returned without building a context at all (zero
+/// annotation/matrix/selection computation); otherwise the context
+/// warm-starts its matrices from `cache` and the computed summary is
+/// installed for the next invocation.
 Result<SchemaSummary> Summarize(const SchemaGraph& graph,
                                 const Annotations& annotations, size_t k,
-                                Algorithm algorithm,
-                                const SummarizeOptions& options,
-                                ArtifactCache* cache);
+                                Algorithm algorithm = Algorithm::kBalanceSummary,
+                                const SummarizeOptions& options = {},
+                                ArtifactCache* cache = nullptr);
 
 }  // namespace ssum

@@ -9,8 +9,8 @@ namespace ssum {
 
 /// Deterministic synthetic schema generator for scaling experiments — a
 /// down-payment on the ROADMAP's gMark-style benchmark item. The paper
-/// datasets top out at a few hundred elements; bench/approx_scaling needs
-/// schemas one to two orders of magnitude larger, where the exact
+/// datasets top out at a few hundred elements; scaling and deadline tests
+/// need schemas one to two orders of magnitude larger, where the exact
 /// MaxCoverage path is infeasible.
 ///
 /// The generator grows a structural tree one element at a time: each new

@@ -12,7 +12,7 @@ namespace ssum {
 /// Synchronous client for the summarization daemon. One client owns one
 /// connection; Call() is a strict request/response round trip, so a client
 /// is safe to share across threads only with external serialization — the
-/// load generator (bench/serve_scaling) gives each thread its own client.
+/// benchmark's serve_warm workload gives each client thread its own client.
 class ServeClient {
  public:
   /// Connects to a serving daemon at "host:port". `env` defaults to

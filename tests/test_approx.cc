@@ -257,8 +257,8 @@ TEST_P(ApproxDatasetTest, EpsilonQualityOnPaperDatasets) {
   ASSERT_GT(exact_cov, 0.0);
 
   // Tighter sketches never lose retained mass (SmallerEpsilonKeepsSupersets),
-  // and the end-to-end selection quality stays within the bench gate at
-  // every sweep point.
+  // and the end-to-end selection quality stays within the 0.95x quality
+  // bound at every sweep point.
   for (double eps : {0.0, 0.05, 0.1, 0.3}) {
     ApproxCoverOptions opts;
     opts.epsilon = eps;

@@ -309,6 +309,34 @@ TEST(CacheTest, SummaryStoreLoad) {
   EXPECT_EQ(hit->representative, summary->representative);
 }
 
+TEST(CacheTest, OneShotSummarizeSecondCallIsASummaryHit) {
+  Fixture f;
+  ArtifactCache cache(MakeCacheDir("oneshot"));
+  Annotations ann = f.MakeAnnotations();
+  auto cold =
+      Summarize(f.schema, ann, 3, Algorithm::kBalanceSummary, {}, &cache);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  const CacheCounters populated = cache.session_counters();
+  EXPECT_EQ(populated.installs, 3u);  // both matrices and the summary
+
+  // The second call is served by the summary container alone.
+  auto warm =
+      Summarize(f.schema, ann, 3, Algorithm::kBalanceSummary, {}, &cache);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  const CacheCounters after = cache.session_counters();
+  EXPECT_EQ(after.installs, populated.installs);
+  EXPECT_EQ(after.hits, populated.hits + 1);
+  EXPECT_EQ(after.misses, populated.misses);
+  EXPECT_EQ(warm->abstract_elements, cold->abstract_elements);
+  EXPECT_EQ(warm->representative, cold->representative);
+
+  // Without a cache the same call computes the same summary.
+  auto uncached = Summarize(f.schema, ann, 3);
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  EXPECT_EQ(uncached->abstract_elements, cold->abstract_elements);
+  EXPECT_EQ(uncached->representative, cold->representative);
+}
+
 TEST(CacheTest, ApproxAndExactSummariesNeverCollide) {
   Fixture f;
   Annotations ann = f.MakeAnnotations();

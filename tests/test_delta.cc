@@ -200,6 +200,14 @@ TEST(DeltaAnnotateTest, MatchesTheFullPassAtEveryThreadCount) {
     ASSERT_TRUE(inc.ok()) << inc.status().ToString();
     EXPECT_EQ(*inc, full) << "threads=" << threads;
   }
+  // The scenario entry point takes the same incremental path over a strict,
+  // non-empty subset of the units.
+  auto scenario = AnnotateScenarioDelta(v.base, v.next);
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  EXPECT_TRUE(scenario->incremental) << scenario->fallback_reason;
+  EXPECT_GT(scenario->dirty_units, 0u);
+  EXPECT_LT(scenario->dirty_units, scenario->total_units);
+  EXPECT_EQ(scenario->annotations, full);
 }
 
 TEST(DeltaAnnotateTest, UnitCountMismatchFailsCleanly) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "core/summarize.h"
+#include "datasets/registry.h"
 #include "query/discovery.h"
 #include "schema/schema_builder.h"
 #include "stats/annotate.h"
@@ -231,6 +233,43 @@ TEST(DiscoveryWithSummaryTest, BoundedOverheadOnUniformWorkloads) {
       AverageDiscoveryCost(oracle, load, TraversalStrategy::kBestFirst);
   double with = AverageDiscoveryCostWithSummary(oracle, summary, load);
   EXPECT_LE(with, without * 2.0);
+}
+
+TEST(DiscoveryWithSummaryTest, WorkloadCostsAreThreadCountInvariantOnXMark) {
+  // Queries are evaluated in parallel into per-query slots and summed in
+  // query order, so the averages are bit-identical at every thread count.
+  auto bundle = LoadDataset(DatasetKind::kXMark, 0.05);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  ASSERT_FALSE(bundle->workload.queries.empty());
+  auto summary = Summarize(bundle->schema, bundle->annotations,
+                           bundle->paper_summary_size);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  DiscoveryOracle oracle(bundle->schema);
+  ParallelOptions serial, parallel;
+  serial.threads = 1;
+  parallel.threads = 8;
+  for (TraversalStrategy s :
+       {TraversalStrategy::kDepthFirst, TraversalStrategy::kBreadthFirst,
+        TraversalStrategy::kBestFirst}) {
+    EXPECT_EQ(AverageDiscoveryCost(oracle, bundle->workload, s, serial),
+              AverageDiscoveryCost(oracle, bundle->workload, s, parallel))
+        << TraversalStrategyName(s);
+  }
+  EXPECT_EQ(AverageDiscoveryCostWithSummary(oracle, *summary,
+                                            bundle->workload, serial),
+            AverageDiscoveryCostWithSummary(oracle, *summary,
+                                            bundle->workload, parallel));
+  // Per query: a one-query workload evaluated on the pool costs exactly what
+  // the serial simulator charges for that query.
+  for (const QueryIntention& q : bundle->workload.queries) {
+    Workload one;
+    one.queries = {q};
+    EXPECT_EQ(AverageDiscoveryCost(oracle, one, TraversalStrategy::kBestFirst,
+                                   parallel),
+              static_cast<double>(
+                  Discover(oracle, q, TraversalStrategy::kBestFirst).cost))
+        << q.name;
+  }
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include "common/env.h"
 #include "common/parallel.h"
 #include "common/retry.h"
+#include "core/summarize.h"
+#include "datasets/synthetic.h"
 #include "store/container.h"
 
 namespace ssum {
@@ -329,6 +331,24 @@ TEST(DeadlineTest, FirstFailingChunkDeterminesStatus) {
     EXPECT_NE(st.ToString().find("chunk 7"), std::string::npos)
         << st.ToString();
   }
+}
+
+TEST(DeadlineTest, ContextBuildOverManyRowBlocksStopsOnABudget) {
+  // 2000 elements are 250 lane blocks per matrix, far more work than a
+  // 5 ms budget covers: Make must stop with kDeadlineExceeded at a block
+  // claim instead of completing. Only the status is asserted, so the test
+  // does not depend on how fast the host is.
+  SyntheticSchemaParams params;
+  params.elements = 2000;
+  const SyntheticSchema synth = BuildSyntheticSchema(params);
+  SummarizeOptions options;
+  options.parallel.threads = 1;
+  options.parallel.deadline = Deadline::After(5);
+  auto context =
+      SummarizerContext::Make(synth.graph, synth.annotations, options);
+  ASSERT_FALSE(context.ok());
+  EXPECT_TRUE(context.status().IsDeadlineExceeded())
+      << context.status().ToString();
 }
 
 }  // namespace

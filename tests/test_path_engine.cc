@@ -7,7 +7,6 @@
 
 #include <cstring>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "core/path_engine.h"
@@ -215,54 +214,6 @@ INSTANTIATE_TEST_SUITE_P(WalkEngines, WalkEngineTest,
                          [](const auto& info) {
                            return EngineName(info.param);
                          });
-
-// Both lane-width instantiations ship in every build regardless of the
-// configured kWalkLaneWidth (docs/performance.md "SSUM_WALK_LANE_WIDTH"),
-// so both must hold the scalar bit-identity invariant — including on
-// batches that leave the last lane block partially filled for each width.
-TEST(WalkLaneWidthTest, BothWidthsBitIdenticalToScalar) {
-  SchemaBuilder b("r");
-  std::vector<ElementId> kids;
-  for (int i = 0; i < 21; ++i) {  // 22 elements: partial tail at 8 and 16
-    kids.push_back(b.SetRcd(i < 3 ? b.Root() : kids[i - 3], "k"));
-  }
-  b.Link(kids[20], kids[0]);
-  SchemaGraph g = std::move(b).Build();
-  EdgeFactors f(g.size());
-  for (ElementId e = 0; e < g.size(); ++e) {
-    f[e].resize(g.neighbors(e).size());
-    for (size_t i = 0; i < f[e].size(); ++i) {
-      f[e][i] = 0.2 + 0.11 * ((e + i) % 9);  // asymmetric, some > 1
-    }
-  }
-  WalkSearchOptions opts;
-  opts.max_steps = 10;
-  const size_t n = g.size();
-  const WalkPlan plan = WalkPlan::Build(g, f);
-  std::vector<ElementId> sources(n);
-  std::vector<std::span<double>> rows(n);
-  auto run_all = [&](auto width_tag, std::vector<double>& out) {
-    out.assign(n * n, -1.0);  // poison: the kernel must overwrite
-    for (ElementId s = 0; s < n; ++s) {
-      sources[s] = s;
-      rows[s] = {out.data() + s * n, n};
-    }
-    MaxProductWalksBatchW<decltype(width_tag)::value>(plan, sources, opts,
-                                                      rows);
-  };
-  std::vector<double> w8, w16;
-  run_all(std::integral_constant<size_t, 8>{}, w8);
-  run_all(std::integral_constant<size_t, 16>{}, w16);
-  for (ElementId s = 0; s < n; ++s) {
-    auto ref = MaxProductWalks(g, f, s, opts);
-    EXPECT_EQ(0, std::memcmp(w8.data() + s * n, ref.data(),
-                             n * sizeof(double)))
-        << "width 8, source " << s;
-    EXPECT_EQ(0, std::memcmp(w16.data() + s * n, ref.data(),
-                             n * sizeof(double)))
-        << "width 16, source " << s;
-  }
-}
 
 TEST(WalkPlanTest, CsrLayoutMatchesAdjacency) {
   SchemaBuilder b("r");

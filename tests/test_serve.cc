@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +16,7 @@
 
 #include "common/deadline.h"
 #include "common/env.h"
+#include "core/summary_io.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/wire.h"
@@ -272,6 +274,86 @@ TEST_F(ServeE2ETest, HealthSummarizeDiscoverMetrics) {
   EXPECT_GE(snapshot.ok, 6u);
   EXPECT_EQ(snapshot.unavailable, 0u);
   EXPECT_GE(snapshot.per_verb[static_cast<size_t>(ServeVerb::kSummarize)], 2u);
+}
+
+TEST_F(ServeE2ETest, ConcurrentWarmClientsGetReferenceBytes) {
+  ServeServerOptions options;
+  options.workers = 4;
+  options.queue_depth = 64;
+  StartServer(std::move(options));
+
+  // Summarize references are the one-shot library pipeline at the server's
+  // scale, serialized exactly as `ssum summarize -o` writes them.
+  auto bundle =
+      LoadDataset(DatasetKind::kXMark, ServeServerOptions{}.dataset_scale);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  std::vector<ServeRequest> requests;
+  std::vector<std::string> references;
+  for (size_t k : {5u, 10u}) {
+    ServeRequest summarize;
+    summarize.verb = ServeVerb::kSummarize;
+    summarize.dataset = "xmark";
+    summarize.k = k;
+    auto summary = Summarize(bundle->schema, bundle->annotations, k);
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    requests.push_back(summarize);
+    references.push_back(SerializeSummary(*summary));
+
+    ServeRequest discover = summarize;
+    discover.verb = ServeVerb::kDiscover;
+    discover.paths = {"site/people/person",
+                      "site/open_auctions/open_auction/bidder"};
+    requests.push_back(discover);
+    references.emplace_back();
+  }
+
+  // Warm every key once; discover references are the server's in-process
+  // answer to the same request.
+  {
+    ServeClient warmer = Connect();
+    for (size_t i = 0; i < requests.size(); ++i) {
+      auto response = warmer.Call(requests[i]);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ASSERT_TRUE(response->ok()) << response->message;
+      if (references[i].empty()) {
+        ServeResponse reference =
+            server_->Execute(requests[i], Deadline::Unlimited());
+        ASSERT_TRUE(reference.ok()) << reference.message;
+        references[i] = reference.payload;
+      }
+      EXPECT_EQ(response->payload, references[i]) << "request " << i;
+    }
+  }
+
+  // Eight clients hit the warm keys at once over loopback; every payload
+  // must be the reference bytes.
+  constexpr int kClients = 8;
+  constexpr int kRounds = 24;
+  std::atomic<int> failed{0};
+  std::atomic<int> mismatched{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      auto client = ServeClient::Connect(server_->address());
+      if (!client.ok()) {
+        failed.fetch_add(1);
+        return;
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        const size_t which = static_cast<size_t>(c + round) % requests.size();
+        auto response = client->Call(requests[which]);
+        if (!response.ok() || !response->ok()) {
+          failed.fetch_add(1);
+        } else if (response->payload != references[which]) {
+          mismatched.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(mismatched.load(), 0);
+  EXPECT_EQ(server_->metrics().unavailable, 0u);
 }
 
 TEST_F(ServeE2ETest, UnknownDatasetIsWireErrorNotDisconnect) {

@@ -21,30 +21,24 @@
 #          container, assert a graceful miss-and-recompute
 #   faults crash-consistency sweep on the asan build: the
 #          `robustness`-labelled fault-injection/deadline tests plus the
-#          store crash sweeps re-run under ASan/UBSan, then the
-#          fault_recovery bench runs its correctness gates (quarantine +
-#          heal + deadline abort) in --gate-only mode
+#          store crash sweeps re-run under ASan/UBSan
 #   serve  serving-daemon end-to-end on the asan build: start `ssum serve`
 #          on an ephemeral port, round-trip `ssum query` (warm response
 #          byte-identical to cold), overload -> exit 6, expired
 #          --deadline-ms -> exit 5 with the daemon still healthy, clean
 #          shutdown via the wire verb
-#   scenarios  scenario-matrix gate on a dedicated Release tree: every
+#   scenarios  scenario-matrix gate on the regular build tree: every
 #          quick-tier case in bench/scenarios/ runs the full annotate ->
-#          matrices -> summarize pipeline in --gate-only mode (sharded
+#          matrices -> summarize pipeline under its gates (sharded
 #          annotation bit-identical to serial, summaries identical across
 #          threads/reruns, budget respected, coverage monotone in k), then
 #          one scenario config replays end-to-end under ASan/UBSan via
 #          `ssum gen`. SCENARIO_TIER overrides the tier (the nightly
 #          comprehensive matrix sets SCENARIO_TIER=full)
-#   bench  bench-sanity gates on a dedicated Release tree (build-bench):
-#          parallel_scaling, annotate_scaling, walk_scaling, approx_scaling,
-#          serve_scaling, and delta_scaling in gate-only mode (determinism +
-#          regression + walk-speedup + approx-quality/speedup +
-#          serve-latency/QPS + incremental-delta gates; the checked-in
-#          BENCH_*.json are NOT updated). SSUM_NATIVE=ON builds the tree
-#          with -march=native (the CI native bench leg)
 #   all    every stage above, in that order
+#
+# Performance is measured by the benchmark (perfbench/README.md), not by a
+# CI stage.
 #
 # The toolchain comes from $CC/$CXX (default gcc). Non-default toolchains
 # get their own build trees (build-clang++, build-clang++-tsan, ...) so a
@@ -238,10 +232,6 @@ stage_faults() {
   echo "== [$TOOLCHAIN] fault-injection crash sweep (labels: robustness|store, ASan/UBSan) =="
   configure "$BUILD_ASAN" -DSSUM_SANITIZE=address,undefined -DSSUM_FUZZ=ON
   build_and_run_label "$BUILD_ASAN" 'robustness|store'
-  # Correctness gates of the robustness bench (timing gates skipped:
-  # sanitizer timings are meaningless).
-  cmake --build "$BUILD_ASAN" --target fault_recovery -j "$JOBS"
-  "$BUILD_ASAN/bench/fault_recovery" --gate-only
 }
 
 stage_serve() {
@@ -312,16 +302,15 @@ stage_serve() {
 }
 
 stage_scenarios() {
-  # Gate half: Release tree (generation + the pipeline are compute-bound;
-  # the determinism gates are identical in every build type). Replay half:
-  # one config end-to-end under ASan/UBSan so the generator itself — not
-  # just its outputs — runs sanitized in every PR.
+  # Gate half: the optimized regular tree (the determinism gates are
+  # identical in every build type). Replay half: one config end-to-end
+  # under ASan/UBSan so the generator itself — not just its outputs — runs
+  # sanitized in every PR.
   local tier="${SCENARIO_TIER:-quick}"
-  echo "== [$TOOLCHAIN] scenario-matrix gates (Release, tier $tier) + ASan replay =="
-  local bench_build="$BUILD-bench"
-  configure "$bench_build" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$bench_build" --target scenario_matrix -j "$JOBS"
-  "$bench_build/bench/scenario_matrix" --gate-only --tier "$tier"
+  echo "== [$TOOLCHAIN] scenario-matrix gates (tier $tier) + ASan replay =="
+  configure "$BUILD"
+  cmake --build "$BUILD" --target scenario_matrix -j "$JOBS"
+  "$BUILD/bench/scenario_matrix" --tier "$tier"
 
   configure "$BUILD_ASAN" -DSSUM_SANITIZE=address,undefined -DSSUM_FUZZ=ON
   cmake --build "$BUILD_ASAN" --target ssum-cli -j "$JOBS"
@@ -338,30 +327,6 @@ stage_scenarios() {
   echo "-- scenario replay under ASan produced all artifacts"
 }
 
-stage_bench() {
-  # Benches run from a dedicated Release tree (the gated binaries refuse to
-  # emit JSON from anything else, and the walk-engine speedup gate is only
-  # meaningful with optimization on). SSUM_NATIVE=ON adds the host-tuned
-  # leg; results must stay bit-identical (the determinism gates verify it).
-  local native="${SSUM_NATIVE:-OFF}"
-  echo "== [$TOOLCHAIN] bench-sanity gates (Release, native=$native; JSONs untouched) =="
-  local bench_build="$BUILD-bench"
-  configure "$bench_build" -DCMAKE_BUILD_TYPE=Release -DSSUM_NATIVE="$native"
-  cmake --build "$bench_build" --target parallel_scaling annotate_scaling \
-    walk_scaling approx_scaling serve_scaling delta_scaling -j "$JOBS"
-  # parallel_scaling has no gate-only flag: its determinism and
-  # no-regression gates are always hard and it only writes JSON when asked,
-  # so running it without --json IS the gate. annotate_scaling,
-  # walk_scaling, and approx_scaling add their regression gates via
-  # --gate-only.
-  "$bench_build/bench/parallel_scaling"
-  "$bench_build/bench/annotate_scaling" --gate-only
-  "$bench_build/bench/walk_scaling" --gate-only
-  "$bench_build/bench/approx_scaling" --gate-only
-  "$bench_build/bench/serve_scaling" --gate-only
-  "$bench_build/bench/delta_scaling" --gate-only
-}
-
 case "$STAGE" in
   build) stage_build ;;
   tsan)  stage_tsan ;;
@@ -371,7 +336,6 @@ case "$STAGE" in
   faults) stage_faults ;;
   serve) stage_serve ;;
   scenarios) stage_scenarios ;;
-  bench) stage_bench ;;
   all)
     stage_build
     echo
@@ -386,11 +350,9 @@ case "$STAGE" in
     stage_serve
     echo
     stage_scenarios
-    echo
-    stage_bench
     ;;
   *)
-    echo "usage: tools/ci.sh [build|tsan|asan|fuzz|cache|faults|serve|scenarios|bench|all] [jobs]" >&2
+    echo "usage: tools/ci.sh [build|tsan|asan|fuzz|cache|faults|serve|scenarios|all] [jobs]" >&2
     exit 2
     ;;
 esac

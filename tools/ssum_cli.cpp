@@ -332,8 +332,8 @@ int CmdAnnotate(const Args& args) {
 }
 
 /// --mode / --epsilon for the coverage algorithm: approx routes MaxCoverage
-/// through the sketched lazy-greedy engine (near-linear, quality gated at
-/// >= 0.95x exact by bench/approx_scaling); epsilon trades sketch width for
+/// through the sketched lazy-greedy engine (near-linear, quality checked at
+/// >= 0.95x exact by tests/test_approx.cc); epsilon trades sketch width for
 /// quality (docs/performance.md).
 Result<SummarizeOptions> ParseSummarizeOptions(const Args& args) {
   SummarizeOptions options;
