@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "common/parallel.h"
+#include "common/result.h"
 #include "core/coverage.h"
 #include "schema/schema_graph.h"
 #include "stats/annotate.h"
@@ -28,9 +30,13 @@ struct DominanceResult {
 ///
 /// E  = elements (incl. e2) with higher coverage by e2 than by e1
 /// C1 = sum over E of C(e1->e), C2 = sum over E of C(e2->e)
-/// e_c = element != e1 with the highest coverage of e1
+/// e_c = element != e1 (and != root) with the highest coverage of e1; the
+///       first one in id order wins ties
 /// e1 dominates e2 iff  C2 - C1 <= Card(e1) - C(e2->e1)
 ///             and (if e_c != e2)  C2 - C1 <= Card(e1) - C(e_c->e1)
+///
+/// A single test is O(n): one pass over rows e1 and e2 plus one strided
+/// walk of column e1 for e_c.
 bool Dominates(const SchemaGraph& graph, const Annotations& annotations,
                const CoverageMatrix& coverage, ElementId e1, ElementId e2);
 
@@ -39,6 +45,21 @@ bool Dominates(const SchemaGraph& graph, const Annotations& annotations,
 /// treated as parents, per the paper's footnote), the ancestor playing the
 /// dominator role. Missing some dominance facts is harmless (the heuristic
 /// only prunes); fabricating them would not be.
+///
+/// Every element's e_c is computed once, in one row-major pass over the
+/// coverage matrix, so each pair test reads only the two coverage rows.
+/// Elements are scanned in parallel per `parallel`, each into its own pair
+/// slot, and the slots are concatenated in element order: `pairs` is
+/// identical (order included) at every thread count, and equal to the
+/// naive ExtendedAncestors x Dominates loop. An expired `parallel.deadline`
+/// surfaces as kDeadlineExceeded, checked on entry and per element block.
+Result<DominanceResult> TryComputeDominance(const SchemaGraph& graph,
+                                            const Annotations& annotations,
+                                            const CoverageMatrix& coverage,
+                                            const ParallelOptions& parallel = {});
+
+/// TryComputeDominance for callers without a deadline; aborts on failure
+/// (the scan itself cannot fail).
 DominanceResult ComputeDominance(const SchemaGraph& graph,
                                  const Annotations& annotations,
                                  const CoverageMatrix& coverage);

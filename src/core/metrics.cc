@@ -41,27 +41,19 @@ double CoverageOfSet(const SchemaGraph& graph,
   double sum = 0;
   for (ElementId e = 0; e < graph.size(); ++e) {
     if (e == graph.root()) continue;
-    ElementId best = kInvalidElement;
-    double best_aff = 0.0;
-    double best_cov = 0.0;
+    MemberChoice choice;
     bool is_member = false;
     for (ElementId s : set) {
       if (s == e) {
         is_member = true;
         break;
       }
-      const double a = affinity.At(e, s);
-      if (a > best_aff ||
-          (a == best_aff && a > 0.0 && coverage.At(s, e) > best_cov)) {
-        best = s;
-        best_aff = a;
-        best_cov = coverage.At(s, e);
-      }
+      OfferMember(affinity, coverage, e, s, choice);
     }
     if (is_member) {
       sum += coverage.At(e, e);
-    } else if (best != kInvalidElement) {
-      sum += coverage.At(best, e);
+    } else if (choice.member != kInvalidElement) {
+      sum += choice.coverage;
     }
   }
   return sum;

@@ -152,8 +152,9 @@ struct MatrixPatchOptions {
   double max_dirty_fraction = 0.5;
 };
 
-/// What a TryPatch actually did — for logging, `cache lineage`, and the
-/// bench gates.
+/// What a TryPatch actually did — for logging, `cache lineage`, the
+/// patch-engagement checks in tests/test_delta.cc, and the benchmark's
+/// `version_chain` per-layer metrics (perfbench/README.md).
 struct MatrixPatchStats {
   size_t dirty_rows = 0;  ///< rows inside the closure (recomputed if patched)
   size_t total_rows = 0;

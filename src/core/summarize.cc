@@ -146,7 +146,9 @@ Result<SummarizerContext> SummarizerContext::MakeIncremental(
     InstallMatrix(cache, ArtifactCache::kCoverageFamily, key,
                   context.coverage_.matrix(), "coverage");
   }
-  context.dominance_ = ComputeDominance(graph, annotations, context.coverage_);
+  SSUM_ASSIGN_OR_RETURN(context.dominance_,
+                        TryComputeDominance(graph, annotations,
+                                            context.coverage_, parallel));
   return context;
 }
 
@@ -225,7 +227,8 @@ Status SummarizerContext::Init(const SchemaGraph& graph,
     InstallMatrix(cache, ArtifactCache::kCoverageFamily, key,
                   coverage_.matrix(), "coverage");
   }
-  dominance_ = ComputeDominance(graph, annotations, coverage_);
+  SSUM_ASSIGN_OR_RETURN(
+      dominance_, TryComputeDominance(graph, annotations, coverage_, parallel));
   return Status::OK();
 }
 
@@ -377,25 +380,63 @@ Result<std::vector<ElementId>> ExactMaxCoverage(
   return out;
 }
 
+/// Greedy fallback of Figure 6: each round adds the candidate whose
+/// insertion yields the highest CoverageOfSet, the first maximum in
+/// candidate order winning.
+///
+/// Every element carries CoverageOfSet's running state for `chosen` (member
+/// flag and MemberChoice), and each pick is folded into it once. The trial
+/// set `chosen + {c}` offers c last, so its value is one pass that offers c
+/// to each element's state and sums the contributions in element order:
+/// bit-identical to CoverageOfSet(chosen + {c}) at O(n) instead of O(|S| n).
+/// A chunk of candidates is evaluated element by element, so A(e -> c) is
+/// read along row e instead of down column c.
 Result<std::vector<ElementId>> GreedyMaxCoverage(
     const SummarizerContext& context, const std::vector<ElementId>& cands,
     size_t k) {
+  const SchemaGraph& graph = context.graph();
+  const AffinityMatrix& affinity = context.affinity();
+  const CoverageMatrix& coverage = context.coverage();
+  const size_t n = graph.size();
   std::vector<ElementId> chosen;
-  std::vector<bool> used(context.graph().size(), false);
   chosen.reserve(k);
+  std::vector<bool> used(n, false);  // the member flag of every element
+  std::vector<MemberChoice> best_member(n);
   std::vector<double> cov(cands.size());
   for (size_t round = 0; round < k; ++round) {
     // Candidate insertions are independent within a round: evaluate them in
     // parallel into per-candidate slots, then reduce in candidate order
     // (identical to the serial loop's first-maximum rule).
-    Status st = ParallelFor(
-        0, cands.size(), /*grain=*/8,
-        [&](size_t i) {
-          if (used[cands[i]]) return;
-          std::vector<ElementId> trial = chosen;
-          trial.push_back(cands[i]);
-          cov[i] = CoverageOfSet(context.graph(), context.affinity(),
-                                 context.coverage(), trial);
+    Status st = ParallelForChunked(
+        0, cands.size(), /*grain=*/128,
+        [&](size_t, size_t begin, size_t end) {
+          // Slots of already chosen candidates fill with values nobody
+          // reads; skipping them would cost a test per element.
+          std::fill(cov.begin() + begin, cov.begin() + end, 0.0);
+          for (ElementId e = 0; e < n; ++e) {
+            if (e == graph.root()) continue;
+            const double self = coverage.At(e, e);
+            if (used[e]) {
+              for (size_t i = begin; i < end; ++i) cov[i] += self;
+              continue;
+            }
+            const MemberChoice cur = best_member[e];
+            for (size_t i = begin; i < end; ++i) {
+              const ElementId c = cands[i];
+              if (c == e) {
+                cov[i] += self;
+                continue;
+              }
+              // A select instead of a branch, since whether c takes over
+              // follows no pattern a predictor can learn. With no member
+              // yet, cur.coverage is +0.0, and adding it leaves the sum
+              // (which starts at +0.0) bit-for-bit unchanged, as
+              // CoverageOfSet's skip does.
+              const double a = affinity.At(e, c);
+              const double v = coverage.At(c, e);
+              cov[i] += TakesOver(cur, a, v) ? v : cur.coverage;
+            }
+          }
         },
         context.options().parallel);
     SSUM_RETURN_NOT_OK(st);
@@ -411,6 +452,10 @@ Result<std::vector<ElementId>> GreedyMaxCoverage(
     if (best == kInvalidElement) break;
     chosen.push_back(best);
     used[best] = true;
+    for (ElementId e = 0; e < n; ++e) {
+      if (e == graph.root() || used[e]) continue;
+      OfferMember(affinity, coverage, e, best, best_member[e]);
+    }
   }
   return chosen;
 }
@@ -493,13 +538,17 @@ Result<std::vector<ElementId>> SelectBalanced(const SummarizerContext& context,
   const SchemaGraph& graph = context.graph();
   const auto& importance = context.importance().importance;
 
-  // Dominance lookup in both directions.
-  const auto& pairs = context.dominance().pairs;
+  // Dominance lookup: each dominator's dominated elements, sorted.
+  std::vector<std::vector<ElementId>> dominated_by(graph.size());
+  for (const DominancePair& p : context.dominance().pairs) {
+    dominated_by[p.dominator].push_back(p.dominated);
+  }
+  for (std::vector<ElementId>& list : dominated_by) {
+    std::sort(list.begin(), list.end());
+  }
   auto dominates = [&](ElementId a, ElementId b) {
-    for (const DominancePair& p : pairs) {
-      if (p.dominator == a && p.dominated == b) return true;
-    }
-    return false;
+    return std::binary_search(dominated_by[a].begin(), dominated_by[a].end(),
+                              b);
   };
 
   // Max-heap over importance (ties by id for determinism).

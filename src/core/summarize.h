@@ -57,9 +57,10 @@ struct SummarizeOptions {
   /// each candidate keeps the dominant coverage entries holding at least
   /// (1 - epsilon) of its row mass. Ignored in kExact mode.
   double approx_epsilon = 0.1;
-  /// Thread count for the parallel kernels (matrix construction, MaxCoverage
-  /// enumeration, concurrent context build). Results are bit-identical for
-  /// every thread count; see docs/performance.md.
+  /// Thread count for the parallel kernels (matrix construction, the
+  /// dominance scan, MaxCoverage enumeration and greedy rounds, concurrent
+  /// context build). Results are bit-identical for every thread count; see
+  /// docs/performance.md.
   ParallelOptions parallel;
 };
 
@@ -68,7 +69,8 @@ struct SummarizeOptions {
 /// studies) reuse the expensive matrices. With more than one thread the
 /// importance iteration and the two all-pairs matrices are computed
 /// concurrently once EdgeMetrics is ready (they only depend on it);
-/// dominance follows after coverage.
+/// dominance (TryComputeDominance, parallel over elements) follows after
+/// coverage.
 class SummarizerContext {
  public:
   SummarizerContext(const SchemaGraph& graph, const Annotations& annotations,
@@ -84,7 +86,8 @@ class SummarizerContext {
 
   /// Construction that propagates instead of aborting: an expired
   /// `options.parallel.deadline` surfaces as kDeadlineExceeded (checked on
-  /// entry and between matrix row blocks). The legacy constructors wrap this
+  /// entry, between matrix row blocks and between dominance element
+  /// blocks). The legacy constructors wrap this
   /// and abort, matching their historical contract. `graph` and
   /// `annotations` must outlive the context.
   static Result<SummarizerContext> Make(const SchemaGraph& graph,
@@ -151,11 +154,14 @@ Result<std::vector<ElementId>> SelectMaxImportance(
 
 /// Figure 6: the K-element set with the highest summary coverage among
 /// mutually non-dominated candidates — exact enumeration within budget,
-/// greedy otherwise.
+/// greedy otherwise. The greedy keeps every element's best chosen member
+/// and scores each trial insertion in one O(n) pass, O(K·|CS|·n) in all,
+/// with the same picks as scoring each trial with CoverageOfSet.
 Result<std::vector<ElementId>> SelectMaxCoverage(
     const SummarizerContext& context, size_t k);
 
-/// Figure 7: important elements filtered by coverage dominance.
+/// Figure 7: important elements filtered by coverage dominance (pairs
+/// looked up in a per-dominator sorted index built once per call).
 Result<std::vector<ElementId>> SelectBalanced(const SummarizerContext& context,
                                               size_t k);
 

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "core/dominance.h"
 #include "core/metrics.h"
 #include "core/summarize.h"
+#include "datasets/registry.h"
+#include "datasets/scenario.h"
 #include "schema/schema_builder.h"
 #include "stats/annotate.h"
 
@@ -127,6 +130,91 @@ TEST(DominanceTest, CyclicValueLinksTerminate) {
   CoverageMatrix cov = CoverageMatrix::Compute(schema, ann, metrics);
   DominanceResult result = ComputeDominance(schema, ann, cov);
   (void)result;  // must terminate
+}
+
+/// Figure 6's pair loop written the obvious way: every extended ancestor
+/// tested through the public Dominates, in element order.
+DominanceResult NaiveDominance(const SchemaGraph& graph,
+                               const Annotations& annotations,
+                               const CoverageMatrix& coverage) {
+  DominanceResult result;
+  result.dominated.assign(graph.size(), false);
+  for (ElementId e = 0; e < graph.size(); ++e) {
+    if (e == graph.root()) continue;
+    for (ElementId anc : ExtendedAncestors(graph, e)) {
+      if (anc == graph.root()) continue;
+      if (Dominates(graph, annotations, coverage, anc, e)) {
+        result.pairs.push_back({anc, e});
+        result.dominated[e] = true;
+      }
+    }
+  }
+  for (ElementId e = 0; e < graph.size(); ++e) {
+    if (e != graph.root() && !result.dominated[e]) {
+      result.candidates.push_back(e);
+    }
+  }
+  return result;
+}
+
+Result<DatasetBundle> LoadEquivalenceInput(const std::string& name) {
+  if (name == "XMark") return LoadDataset(DatasetKind::kXMark, 1.0);
+  return LoadScenarioFile(std::string(SSUM_SCENARIO_DIR) + "/quick.scn");
+}
+
+/// The hoisted e_c and the parallel per-element scan must reproduce the
+/// naive loop exactly: the same pairs in the same order, at every thread
+/// count.
+class DominanceEquivalenceTest : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(DominanceEquivalenceTest, MatchesNaivePairLoop) {
+  auto bundle = LoadEquivalenceInput(GetParam());
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  const SchemaGraph& schema = bundle->schema;
+  const Annotations& ann = bundle->annotations;
+  EdgeMetrics metrics = EdgeMetrics::Compute(schema, ann);
+  CoverageMatrix cov = CoverageMatrix::Compute(schema, ann, metrics);
+  const DominanceResult naive = NaiveDominance(schema, ann, cov);
+  ASSERT_FALSE(naive.pairs.empty());
+  for (uint32_t threads : {1u, 4u}) {
+    ParallelOptions parallel;
+    parallel.threads = threads;
+    auto result = TryComputeDominance(schema, ann, cov, parallel);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->pairs.size(), naive.pairs.size()) << threads;
+    for (size_t i = 0; i < naive.pairs.size(); ++i) {
+      EXPECT_EQ(result->pairs[i].dominator, naive.pairs[i].dominator) << i;
+      EXPECT_EQ(result->pairs[i].dominated, naive.pairs[i].dominated) << i;
+    }
+    EXPECT_EQ(result->dominated, naive.dominated) << threads;
+    EXPECT_EQ(result->candidates, naive.candidates) << threads;
+  }
+  const DominanceResult wrapped = ComputeDominance(schema, ann, cov);
+  EXPECT_EQ(wrapped.candidates, naive.candidates);
+}
+
+INSTANTIATE_TEST_SUITE_P(Inputs, DominanceEquivalenceTest,
+                         ::testing::Values("XMark", "QuickScenario"),
+                         [](const auto& info) { return info.param; });
+
+TEST(DominanceTest, ExpiredDeadlineIsReported) {
+  Fixture f;
+  EdgeMetrics metrics = EdgeMetrics::Compute(f.schema, f.ann);
+  CoverageMatrix cov = CoverageMatrix::Compute(f.schema, f.ann, metrics);
+  ParallelOptions parallel;
+  parallel.deadline = Deadline::After(0);
+  auto result = TryComputeDominance(f.schema, f.ann, cov, parallel);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsDeadlineExceeded())
+      << result.status().ToString();
+
+  SummarizeOptions options;
+  options.parallel.deadline = Deadline::After(0);
+  auto context = SummarizerContext::Make(f.schema, f.ann, options);
+  ASSERT_FALSE(context.ok());
+  EXPECT_TRUE(context.status().IsDeadlineExceeded())
+      << context.status().ToString();
 }
 
 }  // namespace

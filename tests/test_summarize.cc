@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "core/metrics.h"
 #include "core/summarize.h"
 #include "datasets/registry.h"
+#include "datasets/scenario.h"
 #include "schema/schema_builder.h"
 #include "stats/annotate.h"
 
@@ -248,6 +250,97 @@ TEST(SummarizeTest, ImportanceRatioGrowsWithK) {
   }
   EXPECT_LE(prev, 1.0 + 1e-12);
 }
+
+/// The greedy fallback exactly as Figure 6 reads: each round scores every
+/// unused candidate with CoverageOfSet(chosen + {c}) and keeps the first
+/// maximum. `*final_cov` receives the winning value of the last round.
+std::vector<ElementId> ReferenceGreedy(const SummarizerContext& context,
+                                       size_t k, double* final_cov) {
+  const std::vector<ElementId>& cands = context.dominance().candidates;
+  std::vector<ElementId> chosen;
+  for (size_t round = 0; round < k; ++round) {
+    ElementId best = kInvalidElement;
+    double best_cov = -1.0;
+    for (ElementId c : cands) {
+      if (std::find(chosen.begin(), chosen.end(), c) != chosen.end()) continue;
+      std::vector<ElementId> trial = chosen;
+      trial.push_back(c);
+      const double cov = CoverageOfSet(context.graph(), context.affinity(),
+                                       context.coverage(), trial);
+      if (cov > best_cov) {
+        best_cov = cov;
+        best = c;
+      }
+    }
+    if (best == kInvalidElement) break;
+    chosen.push_back(best);
+    *final_cov = best_cov;
+  }
+  return chosen;
+}
+
+/// True when SelectMaxCoverage leaves exact enumeration for the greedy
+/// fallback: more candidates than k and C(|CS|, k) above the budget.
+bool TakesGreedyPath(const SummarizerContext& context, size_t k) {
+  const uint64_t m = context.dominance().candidates.size();
+  const uint64_t budget = context.options().max_coverage_enumeration_budget;
+  if (m <= k) return false;
+  uint64_t sets = 1;
+  for (uint64_t i = 1; i <= k; ++i) {
+    sets = sets * (m - k + i) / i;  // a binomial at every step
+    if (sets > budget) return true;
+  }
+  return false;
+}
+
+struct GreedyInput {
+  std::string name;
+  size_t k;
+};
+
+Result<DatasetBundle> LoadGreedyInput(const std::string& name) {
+  if (name == "XMark") return LoadDataset(DatasetKind::kXMark, 1.0);
+  if (name == "MiMI") return LoadDataset(DatasetKind::kMimi, 1.0);
+  return LoadScenarioFile(std::string(SSUM_SCENARIO_DIR) + "/quick.scn");
+}
+
+/// The running-best greedy must pick what the CoverageOfSet greedy picks,
+/// in the same order, with the same coverage bit for bit, at every thread
+/// count.
+class GreedyEquivalenceTest : public ::testing::TestWithParam<GreedyInput> {};
+
+TEST_P(GreedyEquivalenceTest, MatchesCoverageOfSetGreedy) {
+  auto bundle = LoadGreedyInput(GetParam().name);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  const size_t k = GetParam().k;
+  std::vector<ElementId> reference;
+  double reference_cov = 0.0;
+  for (uint32_t threads : {1u, 4u}) {
+    SummarizeOptions options;
+    options.parallel.threads = threads;
+    auto context =
+        SummarizerContext::Make(bundle->schema, bundle->annotations, options);
+    ASSERT_TRUE(context.ok()) << context.status().ToString();
+    ASSERT_TRUE(TakesGreedyPath(*context, k));
+    if (reference.empty()) {
+      reference = ReferenceGreedy(*context, k, &reference_cov);
+      ASSERT_EQ(reference.size(), k);
+    }
+    auto selected = SelectMaxCoverage(*context, k);
+    ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+    EXPECT_EQ(*selected, reference) << "threads=" << threads;
+    EXPECT_EQ(CoverageOfSet(bundle->schema, context->affinity(),
+                            context->coverage(), *selected),
+              reference_cov)
+        << "threads=" << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, GreedyEquivalenceTest,
+    ::testing::Values(GreedyInput{"XMark", 10}, GreedyInput{"MiMI", 10},
+                      GreedyInput{"QuickScenario", 8}),
+    [](const auto& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace ssum

@@ -4,7 +4,9 @@
 #   tools/ci.sh [stage] [jobs]        (default stage: all, jobs: nproc)
 #
 # Stages:
-#   build  regular RelWithDebInfo build + the full ctest suite
+#   build  regular RelWithDebInfo build + the full ctest suite, including
+#          the `fidelity`-labelled absolute checks (paper-dataset
+#          selections against perfbench/expected/paper.txt)
 #   tsan   -DSSUM_SANITIZE=thread build; every `parallel`-labelled test runs
 #          under TSAN to catch data races the deterministic outputs mask
 #   asan   -DSSUM_SANITIZE=address,undefined -DSSUM_FUZZ=ON build; the
