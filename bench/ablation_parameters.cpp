@@ -28,14 +28,18 @@ int SweepNeighborhoodFactor(const DatasetBundle& bundle) {
                       "avg discovery cost"});
   // Reference ranking at p = 0.5.
   SummarizeOptions ref_opts;
-  SummarizerContext ref(bundle.schema, bundle.annotations, ref_opts);
+  auto ref =
+      SummarizerContext::Make(bundle.schema, bundle.annotations, ref_opts)
+          .ValueOrDie();
   auto ref_sel = SelectBalanced(ref, 10);
   if (!ref_sel.ok()) return 1;
   DiscoveryOracle oracle(bundle.schema);
   for (double p : {0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99}) {
     SummarizeOptions opts;
     opts.importance.neighborhood_factor = p;
-    SummarizerContext context(bundle.schema, bundle.annotations, opts);
+    auto context =
+        SummarizerContext::Make(bundle.schema, bundle.annotations, opts)
+            .ValueOrDie();
     auto sel = SelectBalanced(context, 10);
     if (!sel.ok()) return 1;
     auto summary = Summarize(context, 10);
@@ -60,7 +64,9 @@ int SweepWalkBound(const DatasetBundle& bundle) {
   std::printf("Ablation 2: affinity/coverage walk bound L (MiMI, size 10)\n");
   TablePrinter table({"L", "summary vs L=16", "avg discovery cost"});
   SummarizeOptions ref_opts;
-  SummarizerContext ref(bundle.schema, bundle.annotations, ref_opts);
+  auto ref =
+      SummarizerContext::Make(bundle.schema, bundle.annotations, ref_opts)
+          .ValueOrDie();
   auto ref_sel = SelectBalanced(ref, 10);
   if (!ref_sel.ok()) return 1;
   DiscoveryOracle oracle(bundle.schema);
@@ -68,7 +74,9 @@ int SweepWalkBound(const DatasetBundle& bundle) {
     SummarizeOptions opts;
     opts.affinity.max_steps = steps;
     opts.coverage.max_steps = steps;
-    SummarizerContext context(bundle.schema, bundle.annotations, opts);
+    auto context =
+        SummarizerContext::Make(bundle.schema, bundle.annotations, opts)
+            .ValueOrDie();
     auto sel = SelectBalanced(context, 10);
     auto summary = Summarize(context, 10);
     if (!sel.ok() || !summary.ok()) return 1;
@@ -93,13 +101,16 @@ int ExactVsGreedy() {
   for (size_t k : {1u, 2u, 3u}) {
     SummarizeOptions exact_opts;
     exact_opts.max_coverage_enumeration_budget = 2000000;
-    SummarizerContext exact_ctx(bundle->schema, bundle->annotations,
-                                exact_opts);
+    auto exact_ctx =
+        SummarizerContext::Make(bundle->schema, bundle->annotations, exact_opts)
+            .ValueOrDie();
     auto exact = SelectMaxCoverage(exact_ctx, k);
     SummarizeOptions greedy_opts;
     greedy_opts.max_coverage_enumeration_budget = 0;
-    SummarizerContext greedy_ctx(bundle->schema, bundle->annotations,
-                                 greedy_opts);
+    auto greedy_ctx =
+        SummarizerContext::Make(bundle->schema, bundle->annotations,
+                                greedy_opts)
+            .ValueOrDie();
     auto greedy = SelectMaxCoverage(greedy_ctx, k);
     if (!exact.ok() || !greedy.ok()) return 1;
     double ce = CoverageOfSet(bundle->schema, exact_ctx.affinity(),
@@ -120,13 +131,16 @@ int ExactVsGreedy() {
 int SweepConvergenceThreshold(const DatasetBundle& bundle) {
   std::printf("Ablation 4: convergence threshold c (MiMI)\n");
   TablePrinter table({"c", "iterations", "top-10 overlap vs c=0.1%"});
-  SummarizerContext ref(bundle.schema, bundle.annotations);
+  auto ref =
+      SummarizerContext::Make(bundle.schema, bundle.annotations).ValueOrDie();
   auto ref_ranked = ref.importance().Ranked();
   std::vector<ElementId> ref_top(ref_ranked.begin(), ref_ranked.begin() + 10);
   for (double c : {0.05, 0.01, 0.001, 0.0001, 0.00001}) {
     SummarizeOptions opts;
     opts.importance.convergence_threshold = c;
-    SummarizerContext context(bundle.schema, bundle.annotations, opts);
+    auto context =
+        SummarizerContext::Make(bundle.schema, bundle.annotations, opts)
+            .ValueOrDie();
     auto ranked = context.importance().Ranked();
     std::vector<ElementId> top(ranked.begin(), ranked.begin() + 10);
     table.AddRow({FormatDouble(c * 100, 3) + "%",

@@ -31,7 +31,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     rows.push_back(std::move(*row));
-    SummarizerContext context(bundle->schema, bundle->annotations);
+    auto context =
+        SummarizerContext::Make(bundle->schema, bundle->annotations)
+            .ValueOrDie();
     size_t n = bundle->schema.size() - 1;  // candidates exclude the root
     size_t remaining = context.dominance().candidates.size();
     prune_stats.push_back(std::string(DatasetName(kind)) + ": " +

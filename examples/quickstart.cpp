@@ -85,7 +85,7 @@ int main() {
               static_cast<unsigned long long>(ann.card(review)));
 
   // 3. Summarize (Section 4) and inspect the result.
-  SummarizerContext context(schema, ann);
+  auto context = SummarizerContext::Make(schema, ann).ValueOrDie();
   SchemaSummary summary = must(Summarize(context, 2));
   std::printf("\nsize-2 BalanceSummary:\n");
   for (ElementId s : summary.abstract_elements) {

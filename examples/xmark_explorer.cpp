@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(counter.nodes()),
               static_cast<unsigned long long>(counter.references()));
 
-  SummarizerContext context(schema, *ann);
+  auto context = SummarizerContext::Make(schema, *ann).ValueOrDie();
 
   // Summaries of growing size (paper Figure 2(A) is the size-~5 view).
   for (size_t k : {5, 10}) {

@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   }
   rc |= Write(dir + "/matrix_valid.ssb", ssum::EncodeSquareMatrix(m));
 
-  ssum::SummarizerContext context(schema, ann);
+  auto context = ssum::SummarizerContext::Make(schema, ann).ValueOrDie();
   auto summary = ssum::Summarize(context, 3);
   if (!summary.ok()) {
     std::fprintf(stderr, "summarize failed: %s\n",

@@ -1,41 +1,41 @@
 #include "core/affinity.h"
 
+#include <numeric>
+
 #include "common/logging.h"
 
 namespace ssum {
 
-Result<AffinityMatrix> AffinityMatrix::TryCompute(
-    const SchemaGraph& graph, const EdgeMetrics& metrics,
-    const AffinityOptions& options, const ParallelOptions& parallel) {
-  const size_t n = graph.size();
-  AffinityMatrix out;
-  out.m_ = SquareMatrix(n, 0.0);
+namespace {
+
+/// The walk behind TryCompute and TryPatch: re-walks `rows` of `m` over the
+/// step factors of `metrics` and applies the Formula 2 diagonal.
+Result<AffinityMatrix> WalkAffinityRows(const SchemaGraph& graph,
+                                        const EdgeMetrics& metrics,
+                                        const AffinityOptions& options,
+                                        const ParallelOptions& parallel,
+                                        std::span<const ElementId> rows,
+                                        SquareMatrix m) {
   WalkSearchOptions walk;
   walk.max_steps = options.max_steps;
   walk.divide_by_steps = true;
-  // One CSR snapshot shared by all rows; lane blocks of kWalkLaneWidth
-  // sources are the parallel unit (each row still has exactly one writer).
   const WalkPlan plan = WalkPlan::Build(graph, metrics.edge_affinity);
-  const size_t blocks = (n + kWalkLaneWidth - 1) / kWalkLaneWidth;
-  Status st = ParallelFor(
-      0, blocks, /*grain=*/1,
-      [&](size_t block) {
-        const size_t begin = block * kWalkLaneWidth;
-        const size_t count = std::min(kWalkLaneWidth, n - begin);
-        ElementId sources[kWalkLaneWidth];
-        std::span<double> rows[kWalkLaneWidth];
-        for (size_t i = 0; i < count; ++i) {
-          sources[i] = static_cast<ElementId>(begin + i);
-          rows[i] = out.m_.RowSpan(begin + i);
-        }
-        MaxProductWalksBatch(plan, {sources, count}, walk, {rows, count});
-        for (size_t i = 0; i < count; ++i) {
-          rows[i][begin + i] = 1.0;  // Formula 2 special case
-        }
-      },
-      parallel);
-  SSUM_RETURN_NOT_OK(st);
-  return out;
+  SSUM_RETURN_NOT_OK(WalkRows(plan, rows, walk, m, parallel,
+                              [](ElementId s, std::span<double> row) {
+                                row[s] = 1.0;  // Formula 2 special case
+                              }));
+  return AffinityMatrix::FromMatrix(std::move(m));
+}
+
+}  // namespace
+
+Result<AffinityMatrix> AffinityMatrix::TryCompute(
+    const SchemaGraph& graph, const EdgeMetrics& metrics,
+    const AffinityOptions& options, const ParallelOptions& parallel) {
+  std::vector<ElementId> rows(graph.size());
+  std::iota(rows.begin(), rows.end(), ElementId{0});
+  return WalkAffinityRows(graph, metrics, options, parallel, rows,
+                          SquareMatrix(graph.size(), 0.0));
 }
 
 Result<AffinityMatrix> AffinityMatrix::TryPatch(
@@ -43,59 +43,19 @@ Result<AffinityMatrix> AffinityMatrix::TryPatch(
     const AffinityMatrix& base, std::span<const ElementId> dirty_elements,
     const AffinityOptions& options, const ParallelOptions& parallel,
     const MatrixPatchOptions& patch, MatrixPatchStats* stats) {
-  const size_t n = graph.size();
-  if (base.size() != n) {
+  if (base.size() != graph.size()) {
     return Status::FailedPrecondition(
         "AffinityMatrix::TryPatch: base matrix order " +
         std::to_string(base.size()) + " does not match schema order " +
-        std::to_string(n));
+        std::to_string(graph.size()));
   }
-  const std::vector<uint8_t> mask =
-      DirtyFrontierClosure(graph, dirty_elements, options.max_steps);
-  std::vector<ElementId> rows_to_walk;
-  for (ElementId e = 0; e < n; ++e) {
-    if (mask[e]) rows_to_walk.push_back(e);
-  }
-  if (stats != nullptr) {
-    stats->dirty_rows = rows_to_walk.size();
-    stats->total_rows = n;
-    stats->patched = false;
-  }
-  if (static_cast<double>(rows_to_walk.size()) >
-      patch.max_dirty_fraction * static_cast<double>(n)) {
-    return TryCompute(graph, metrics, options, parallel);
-  }
-  AffinityMatrix out;
-  out.m_ = base.m_;  // rows outside the closure keep their base bytes
-  WalkSearchOptions walk;
-  walk.max_steps = options.max_steps;
-  walk.divide_by_steps = true;
-  // The plan snapshots the *new* metrics, so a re-walked row is exactly the
-  // row a full TryCompute would produce (the batch engine's results do not
-  // depend on which sources share a lane block).
-  const WalkPlan plan = WalkPlan::Build(graph, metrics.edge_affinity);
-  const size_t blocks =
-      (rows_to_walk.size() + kWalkLaneWidth - 1) / kWalkLaneWidth;
-  Status st = ParallelFor(
-      0, blocks, /*grain=*/1,
-      [&](size_t block) {
-        const size_t begin = block * kWalkLaneWidth;
-        const size_t count =
-            std::min(kWalkLaneWidth, rows_to_walk.size() - begin);
-        ElementId sources[kWalkLaneWidth];
-        std::span<double> rows[kWalkLaneWidth];
-        for (size_t i = 0; i < count; ++i) {
-          sources[i] = rows_to_walk[begin + i];
-          rows[i] = out.m_.RowSpan(sources[i]);
-        }
-        MaxProductWalksBatch(plan, {sources, count}, walk, {rows, count});
-        for (size_t i = 0; i < count; ++i) {
-          rows[i][sources[i]] = 1.0;  // Formula 2 special case
-        }
-      },
-      parallel);
-  SSUM_RETURN_NOT_OK(st);
-  if (stats != nullptr) stats->patched = true;
+  const auto rows = PatchRows(graph, dirty_elements, options.max_steps, patch,
+                              stats);
+  if (!rows) return TryCompute(graph, metrics, options, parallel);
+  // Rows outside the closure keep their base bytes.
+  auto out = WalkAffinityRows(graph, metrics, options, parallel, *rows,
+                              base.m_);
+  if (out.ok() && stats != nullptr) stats->patched = true;
   return out;
 }
 

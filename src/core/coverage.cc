@@ -1,19 +1,20 @@
 #include "core/coverage.h"
 
+#include <numeric>
+
 #include "common/logging.h"
 
 namespace ssum {
 
-Result<CoverageMatrix> CoverageMatrix::TryCompute(
-    const SchemaGraph& graph, const Annotations& annotations,
-    const EdgeMetrics& metrics, const CoverageOptions& options,
-    const ParallelOptions& parallel) {
-  const size_t n = graph.size();
-  // Step factor for u -> v (adjacency entry i at u):
-  //   edge_affinity(u->v) * W(v->u)
-  // where W(v->u) is read through the mirror index.
-  EdgeFactors factors(n);
-  for (ElementId u = 0; u < n; ++u) {
+namespace {
+
+/// Step factor for u -> v (adjacency entry i at u):
+///   edge_affinity(u->v) * W(v->u)
+/// where W(v->u) is read through the mirror index.
+EdgeFactors CoverageStepFactors(const SchemaGraph& graph,
+                                const EdgeMetrics& metrics) {
+  EdgeFactors factors(graph.size());
+  for (ElementId u = 0; u < graph.size(); ++u) {
     const auto& nbrs = graph.neighbors(u);
     factors[u].resize(nbrs.size());
     for (size_t i = 0; i < nbrs.size(); ++i) {
@@ -22,41 +23,45 @@ Result<CoverageMatrix> CoverageMatrix::TryCompute(
       factors[u][i] = metrics.edge_affinity[u][i] * metrics.w[v][j];
     }
   }
-  CoverageMatrix out;
-  out.m_ = SquareMatrix(n, 0.0);
+  return factors;
+}
+
+/// The walk behind TryCompute and TryPatch: re-walks `rows` of `m` over the
+/// coverage step factors of `metrics`, then scales each row by card(t) in
+/// place and sets the card(s) diagonal (Formula 3).
+Result<CoverageMatrix> WalkCoverageRows(const SchemaGraph& graph,
+                                        const Annotations& annotations,
+                                        const EdgeMetrics& metrics,
+                                        const CoverageOptions& options,
+                                        const ParallelOptions& parallel,
+                                        std::span<const ElementId> rows,
+                                        SquareMatrix m) {
   WalkSearchOptions walk;
   walk.max_steps = options.max_steps;
   walk.divide_by_steps = false;
-  // Batched engine writes straight into the matrix rows; the cardinality
-  // scaling runs in place afterwards (same per-entry product as the scalar
-  // path, so the matrix stays bit-identical).
-  const WalkPlan plan = WalkPlan::Build(graph, factors);
-  const size_t blocks = (n + kWalkLaneWidth - 1) / kWalkLaneWidth;
-  Status st = ParallelFor(
-      0, blocks, /*grain=*/1,
-      [&](size_t block) {
-        const size_t begin = block * kWalkLaneWidth;
-        const size_t count = std::min(kWalkLaneWidth, n - begin);
-        ElementId sources[kWalkLaneWidth];
-        std::span<double> rows[kWalkLaneWidth];
-        for (size_t i = 0; i < count; ++i) {
-          sources[i] = static_cast<ElementId>(begin + i);
-          rows[i] = out.m_.RowSpan(begin + i);
+  const WalkPlan plan =
+      WalkPlan::Build(graph, CoverageStepFactors(graph, metrics));
+  SSUM_RETURN_NOT_OK(WalkRows(
+      plan, rows, walk, m, parallel, [&](ElementId s, std::span<double> row) {
+        for (size_t t = 0; t < row.size(); ++t) {
+          row[t] *= static_cast<double>(
+              annotations.card(static_cast<ElementId>(t)));
         }
-        MaxProductWalksBatch(plan, {sources, count}, walk, {rows, count});
-        for (size_t i = 0; i < count; ++i) {
-          std::span<double> dst = rows[i];
-          for (size_t t = 0; t < n; ++t) {
-            dst[t] *= static_cast<double>(
-                annotations.card(static_cast<ElementId>(t)));
-          }
-          dst[begin + i] = static_cast<double>(annotations.card(
-              static_cast<ElementId>(begin + i)));  // special case
-        }
-      },
-      parallel);
-  SSUM_RETURN_NOT_OK(st);
-  return out;
+        row[s] = static_cast<double>(annotations.card(s));  // special case
+      }));
+  return CoverageMatrix::FromMatrix(std::move(m));
+}
+
+}  // namespace
+
+Result<CoverageMatrix> CoverageMatrix::TryCompute(
+    const SchemaGraph& graph, const Annotations& annotations,
+    const EdgeMetrics& metrics, const CoverageOptions& options,
+    const ParallelOptions& parallel) {
+  std::vector<ElementId> rows(graph.size());
+  std::iota(rows.begin(), rows.end(), ElementId{0});
+  return WalkCoverageRows(graph, annotations, metrics, options, parallel, rows,
+                          SquareMatrix(graph.size(), 0.0));
 }
 
 Result<CoverageMatrix> CoverageMatrix::TryPatch(
@@ -65,73 +70,21 @@ Result<CoverageMatrix> CoverageMatrix::TryPatch(
     std::span<const ElementId> dirty_elements, const CoverageOptions& options,
     const ParallelOptions& parallel, const MatrixPatchOptions& patch,
     MatrixPatchStats* stats) {
-  const size_t n = graph.size();
-  if (base.size() != n) {
+  if (base.size() != graph.size()) {
     return Status::FailedPrecondition(
         "CoverageMatrix::TryPatch: base matrix order " +
         std::to_string(base.size()) + " does not match schema order " +
-        std::to_string(n));
+        std::to_string(graph.size()));
   }
-  const std::vector<uint8_t> mask =
-      DirtyFrontierClosure(graph, dirty_elements, options.max_steps);
-  std::vector<ElementId> rows_to_walk;
-  for (ElementId e = 0; e < n; ++e) {
-    if (mask[e]) rows_to_walk.push_back(e);
-  }
-  if (stats != nullptr) {
-    stats->dirty_rows = rows_to_walk.size();
-    stats->total_rows = n;
-    stats->patched = false;
-  }
-  if (static_cast<double>(rows_to_walk.size()) >
-      patch.max_dirty_fraction * static_cast<double>(n)) {
+  const auto rows = PatchRows(graph, dirty_elements, options.max_steps, patch,
+                              stats);
+  if (!rows) {
     return TryCompute(graph, annotations, metrics, options, parallel);
   }
-  // Same step-factor construction as TryCompute, over the *new* metrics.
-  EdgeFactors factors(n);
-  for (ElementId u = 0; u < n; ++u) {
-    const auto& nbrs = graph.neighbors(u);
-    factors[u].resize(nbrs.size());
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      const ElementId v = nbrs[i].other;
-      const uint32_t j = metrics.mirror[u][i];
-      factors[u][i] = metrics.edge_affinity[u][i] * metrics.w[v][j];
-    }
-  }
-  CoverageMatrix out;
-  out.m_ = base.m_;  // rows outside the closure keep their base bytes
-  WalkSearchOptions walk;
-  walk.max_steps = options.max_steps;
-  walk.divide_by_steps = false;
-  const WalkPlan plan = WalkPlan::Build(graph, factors);
-  const size_t blocks =
-      (rows_to_walk.size() + kWalkLaneWidth - 1) / kWalkLaneWidth;
-  Status st = ParallelFor(
-      0, blocks, /*grain=*/1,
-      [&](size_t block) {
-        const size_t begin = block * kWalkLaneWidth;
-        const size_t count =
-            std::min(kWalkLaneWidth, rows_to_walk.size() - begin);
-        ElementId sources[kWalkLaneWidth];
-        std::span<double> rows[kWalkLaneWidth];
-        for (size_t i = 0; i < count; ++i) {
-          sources[i] = rows_to_walk[begin + i];
-          rows[i] = out.m_.RowSpan(sources[i]);
-        }
-        MaxProductWalksBatch(plan, {sources, count}, walk, {rows, count});
-        for (size_t i = 0; i < count; ++i) {
-          std::span<double> dst = rows[i];
-          for (size_t t = 0; t < n; ++t) {
-            dst[t] *= static_cast<double>(
-                annotations.card(static_cast<ElementId>(t)));
-          }
-          dst[sources[i]] =
-              static_cast<double>(annotations.card(sources[i]));  // special case
-        }
-      },
-      parallel);
-  SSUM_RETURN_NOT_OK(st);
-  if (stats != nullptr) stats->patched = true;
+  // Rows outside the closure keep their base bytes.
+  auto out = WalkCoverageRows(graph, annotations, metrics, options, parallel,
+                              *rows, base.m_);
+  if (out.ok() && stats != nullptr) stats->patched = true;
   return out;
 }
 

@@ -220,6 +220,26 @@ void MaxProductWalksBatch(const WalkPlan& plan,
   }
 }
 
+Status WalkRows(
+    const WalkPlan& plan, std::span<const ElementId> sources,
+    const WalkSearchOptions& walk, SquareMatrix& out,
+    const ParallelOptions& parallel,
+    const std::function<void(ElementId, std::span<double>)>& finish) {
+  const size_t blocks = (sources.size() + kWalkLaneWidth - 1) / kWalkLaneWidth;
+  return ParallelFor(
+      0, blocks, /*grain=*/1,
+      [&](size_t block) {
+        const size_t begin = block * kWalkLaneWidth;
+        const std::span<const ElementId> lane = sources.subspan(
+            begin, std::min(kWalkLaneWidth, sources.size() - begin));
+        std::span<double> rows[kWalkLaneWidth];
+        for (size_t i = 0; i < lane.size(); ++i) rows[i] = out.RowSpan(lane[i]);
+        MaxProductWalksBatch(plan, lane, walk, {rows, lane.size()});
+        for (size_t i = 0; i < lane.size(); ++i) finish(lane[i], rows[i]);
+      },
+      parallel);
+}
+
 std::vector<uint8_t> DirtyFrontierClosure(const SchemaGraph& graph,
                                           std::span<const ElementId> dirty,
                                           uint32_t max_steps) {
@@ -247,6 +267,25 @@ std::vector<uint8_t> DirtyFrontierClosure(const SchemaGraph& graph,
     frontier.swap(next_frontier);
   }
   return mask;
+}
+
+std::optional<std::vector<ElementId>> PatchRows(
+    const SchemaGraph& graph, std::span<const ElementId> dirty,
+    uint32_t max_steps, const MatrixPatchOptions& patch,
+    MatrixPatchStats* stats) {
+  const size_t n = graph.size();
+  const std::vector<uint8_t> mask =
+      DirtyFrontierClosure(graph, dirty, max_steps);
+  std::vector<ElementId> rows;
+  for (ElementId e = 0; e < n; ++e) {
+    if (mask[e]) rows.push_back(e);
+  }
+  if (stats != nullptr) *stats = {rows.size(), n, /*patched=*/false};
+  if (static_cast<double>(rows.size()) >
+      patch.max_dirty_fraction * static_cast<double>(n)) {
+    return std::nullopt;
+  }
+  return rows;
 }
 
 }  // namespace ssum

@@ -4,10 +4,13 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <new>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "common/parallel.h"
 #include "schema/schema_graph.h"
 
 namespace ssum {
@@ -122,9 +125,8 @@ std::vector<double> MaxProductWalks(const SchemaGraph& graph,
 ///
 /// `out_rows[i]` receives the result row for `sources[i]` and must view
 /// plan.size() doubles (e.g. SquareMatrix::RowSpan). Sources may repeat.
-/// Batches larger than kWalkLaneWidth are processed block by block; callers
-/// wanting parallelism distribute lane blocks across a ParallelFor instead
-/// of single rows.
+/// Batches larger than kWalkLaneWidth are processed block by block; matrix
+/// builds distribute lane blocks across a ParallelFor through WalkRows.
 void MaxProductWalksBatch(const WalkPlan& plan,
                           std::span<const ElementId> sources,
                           const WalkSearchOptions& options,
@@ -160,6 +162,17 @@ struct MatrixPatchStats {
   size_t total_rows = 0;
   bool patched = false;   ///< false = fell back to a full recompute
 };
+
+/// The patch preamble shared by AffinityMatrix::TryPatch and
+/// CoverageMatrix::TryPatch: the rows inside the dirty-frontier closure of
+/// `dirty`, in element order, or nullopt when they exceed
+/// patch.max_dirty_fraction of the rows (the caller then runs a full
+/// TryCompute). Fills `stats` (may be null) with the closure size and
+/// patched = false; the caller sets `patched` once the walk succeeds.
+std::optional<std::vector<ElementId>> PatchRows(
+    const SchemaGraph& graph, std::span<const ElementId> dirty,
+    uint32_t max_steps, const MatrixPatchOptions& patch,
+    MatrixPatchStats* stats);
 
 /// Dense square matrix helper used by the affinity/coverage caches. Rows are
 /// the unit of parallel writing (one owner per row, see common/parallel.h);
@@ -205,5 +218,21 @@ class SquareMatrix {
   size_t n_ = 0;
   std::vector<double> data_;
 };
+
+/// The one lane-block walk loop behind every matrix build and patch
+/// (AffinityMatrix / CoverageMatrix TryCompute and TryPatch): walks each
+/// source in `sources` into row `source` of `out`, then calls
+/// finish(source, row) once per walked row for the formula's scaling and
+/// diagonal. The ParallelFor unit is one lane block of kWalkLaneWidth
+/// sources (grain 1), so every row has exactly one writer and any thread
+/// count yields bit-identical rows; since MaxProductWalksBatch results do
+/// not depend on which sources share a block, a patched row equals the
+/// cold one. Rows not in `sources` are left untouched. An expired
+/// `parallel.deadline` stops between blocks with kDeadlineExceeded.
+Status WalkRows(
+    const WalkPlan& plan, std::span<const ElementId> sources,
+    const WalkSearchOptions& walk, SquareMatrix& out,
+    const ParallelOptions& parallel,
+    const std::function<void(ElementId, std::span<double>)>& finish);
 
 }  // namespace ssum

@@ -33,32 +33,11 @@ const char* SummaryModeName(SummaryMode m) {
   return "?";
 }
 
-SummarizerContext::SummarizerContext(const SchemaGraph& graph,
-                                     const Annotations& annotations,
-                                     const SummarizeOptions& options)
-    : SummarizerContext(graph, annotations, options, nullptr) {}
-
-SummarizerContext::SummarizerContext(const SchemaGraph& graph,
-                                     const Annotations& annotations,
-                                     const SummarizeOptions& options,
-                                     ArtifactCache* cache) {
-  Status st = Init(graph, annotations, options, cache);
-  SSUM_CHECK(st.ok(), st.ToString());
-}
-
-Result<SummarizerContext> SummarizerContext::Make(
-    const SchemaGraph& graph, const Annotations& annotations,
-    const SummarizeOptions& options, ArtifactCache* cache) {
-  SummarizerContext context;
-  SSUM_RETURN_NOT_OK(context.Init(graph, annotations, options, cache));
-  return context;
-}
-
 namespace {
 
 /// Shared content key of the two matrix artifacts (the family tells them
-/// apart). MakeIncremental must produce exactly the key Init would, or
-/// patched installs would never be hit by later cold runs.
+/// apart). Cold and incremental builds install under this one key, so a
+/// patched install is hit by later cold runs of the new version.
 Fingerprint MatrixCacheKey(const SchemaGraph& graph,
                            const Annotations& annotations,
                            const SummarizeOptions& options) {
@@ -80,32 +59,71 @@ void InstallMatrix(ArtifactCache* cache, const char* family,
 
 }  // namespace
 
+Result<SummarizerContext> SummarizerContext::Make(
+    const SchemaGraph& graph, const Annotations& annotations,
+    const SummarizeOptions& options, ArtifactCache* cache) {
+  return Build(graph, annotations, options, cache, /*patch_source=*/nullptr);
+}
+
 Result<SummarizerContext> SummarizerContext::MakeIncremental(
     const SummarizerContext& base, const Annotations& annotations,
     ArtifactCache* cache, const MatrixPatchOptions& patch,
     MatrixPatchStats* affinity_stats, MatrixPatchStats* coverage_stats) {
-  const SchemaGraph& graph = base.graph();
-  const SummarizeOptions& options = base.options();
-  SSUM_RETURN_NOT_OK(
-      options.parallel.deadline.Check("incremental summarizer context build"));
-  if (annotations.num_elements() != graph.size()) {
+  if (annotations.num_elements() != base.graph().size()) {
     return Status::FailedPrecondition(
         "incremental context: annotations describe " +
         std::to_string(annotations.num_elements()) + " elements, schema has " +
-        std::to_string(graph.size()));
+        std::to_string(base.graph().size()));
   }
+  const PatchSource source{base, patch, affinity_stats, coverage_stats};
+  return Build(base.graph(), annotations, base.options(), cache, &source);
+}
+
+Result<SummarizerContext> SummarizerContext::Build(
+    const SchemaGraph& graph, const Annotations& annotations,
+    const SummarizeOptions& options, ArtifactCache* cache,
+    const PatchSource* patch_source) {
+  SSUM_RETURN_NOT_OK(
+      options.parallel.deadline.Check("summarizer context build"));
   SummarizerContext context;
   context.graph_ = &graph;
   context.annotations_ = &annotations;
   context.options_ = options;
   context.metrics_ = EdgeMetrics::Compute(graph, annotations);
-  // Seed set for the frontier closure: every element whose cardinality,
-  // edge-affinity row, or neighbor-weight row moved between the versions.
-  const std::vector<ElementId> dirty = DirtyMetricElements(
-      base.annotations(), base.metrics(), annotations, context.metrics_);
-  // Same 3-task shape as Init: importance has no incremental structure (the
-  // iteration is global), so it recomputes; the two matrices patch. Each
-  // task writes one member, so the concurrent build stays bit-identical.
+  const Fingerprint key = cache != nullptr
+                              ? MatrixCacheKey(graph, annotations, options)
+                              : Fingerprint{};
+  // A cold build warm-starts from the cache: a hit replaces the all-pairs
+  // computation with a decode of the bit-identical persisted matrix. An
+  // incremental build never looks up, so its patch stats always describe
+  // real work; its seed set for the frontier closure is every element whose
+  // cardinality, edge-affinity row, or neighbor-weight row moved.
+  bool have_affinity = false;
+  bool have_coverage = false;
+  std::vector<ElementId> dirty;
+  if (patch_source != nullptr) {
+    const SummarizerContext& base = patch_source->base;
+    dirty = DirtyMetricElements(base.annotations(), base.metrics(),
+                                annotations, context.metrics_);
+  } else if (cache != nullptr) {
+    if (auto m = cache->LoadMatrix(ArtifactCache::kAffinityFamily, key,
+                                   graph.size())) {
+      context.affinity_ = AffinityMatrix::FromMatrix(std::move(*m));
+      have_affinity = true;
+    }
+    if (auto m = cache->LoadMatrix(ArtifactCache::kCoverageFamily, key,
+                                   graph.size())) {
+      context.coverage_ = CoverageMatrix::FromMatrix(std::move(*m));
+      have_coverage = true;
+    }
+    context.matrices_from_cache_ = int{have_affinity} + int{have_coverage};
+  }
+  // Importance, affinity, and coverage depend only on EdgeMetrics; with more
+  // than one thread they build concurrently, each task writing one member
+  // (and its status slot). Each computation is internally deterministic, so
+  // the result is bit-identical to the serial order (and to any mix of
+  // cached, computed and patched matrices). Importance has no incremental
+  // structure (the iteration is global), so it always recomputes.
   const ParallelOptions& parallel = options.parallel;
   Status task_status[3];
   Status st = ParallelFor(
@@ -117,100 +135,33 @@ Result<SummarizerContext> SummarizerContext::MakeIncremental(
                 graph, annotations, context.metrics_, options.importance);
             break;
           case 1: {
-            auto m = AffinityMatrix::TryPatch(
-                graph, context.metrics_, base.affinity(), dirty,
-                options.affinity, parallel, patch, affinity_stats);
+            if (have_affinity) break;
+            auto m = patch_source == nullptr
+                         ? AffinityMatrix::TryCompute(graph, context.metrics_,
+                                                      options.affinity,
+                                                      parallel)
+                         : AffinityMatrix::TryPatch(
+                               graph, context.metrics_,
+                               patch_source->base.affinity(), dirty,
+                               options.affinity, parallel, patch_source->patch,
+                               patch_source->affinity_stats);
             if (m.ok()) context.affinity_ = std::move(*m);
             task_status[task] = m.status();
             break;
           }
           case 2: {
-            auto m = CoverageMatrix::TryPatch(
-                graph, annotations, context.metrics_, base.coverage(), dirty,
-                options.coverage, parallel, patch, coverage_stats);
-            if (m.ok()) context.coverage_ = std::move(*m);
-            task_status[task] = m.status();
-            break;
-          }
-        }
-      },
-      parallel);
-  SSUM_RETURN_NOT_OK(st);
-  for (const Status& ts : task_status) SSUM_RETURN_NOT_OK(ts);
-  // Patched matrices are bit-identical to computed ones, so installing them
-  // under the new content key is indistinguishable from a cold install.
-  if (cache != nullptr) {
-    const Fingerprint key = MatrixCacheKey(graph, annotations, options);
-    InstallMatrix(cache, ArtifactCache::kAffinityFamily, key,
-                  context.affinity_.matrix(), "affinity");
-    InstallMatrix(cache, ArtifactCache::kCoverageFamily, key,
-                  context.coverage_.matrix(), "coverage");
-  }
-  SSUM_ASSIGN_OR_RETURN(context.dominance_,
-                        TryComputeDominance(graph, annotations,
-                                            context.coverage_, parallel));
-  return context;
-}
-
-Status SummarizerContext::Init(const SchemaGraph& graph,
-                               const Annotations& annotations,
-                               const SummarizeOptions& options,
-                               ArtifactCache* cache) {
-  SSUM_RETURN_NOT_OK(
-      options.parallel.deadline.Check("summarizer context build"));
-  graph_ = &graph;
-  annotations_ = &annotations;
-  options_ = options;
-  metrics_ = EdgeMetrics::Compute(graph, annotations);
-  // Warm-start lookup: both matrix artifacts share one content fingerprint
-  // (schema + statistics + the option fields the matrices depend on); the
-  // artifact family tells them apart. A hit replaces the all-pairs
-  // computation with a decode of the bit-identical persisted matrix.
-  bool have_affinity = false;
-  bool have_coverage = false;
-  Fingerprint key;
-  if (cache != nullptr) {
-    key = MatrixCacheKey(graph, annotations, options_);
-    if (auto m = cache->LoadMatrix(ArtifactCache::kAffinityFamily, key,
-                                   graph.size())) {
-      affinity_ = AffinityMatrix::FromMatrix(std::move(*m));
-      have_affinity = true;
-    }
-    if (auto m = cache->LoadMatrix(ArtifactCache::kCoverageFamily, key,
-                                   graph.size())) {
-      coverage_ = CoverageMatrix::FromMatrix(std::move(*m));
-      have_coverage = true;
-    }
-    matrices_from_cache_ = (have_affinity ? 1 : 0) + (have_coverage ? 1 : 0);
-  }
-  // Importance, affinity, and coverage depend only on EdgeMetrics; with more
-  // than one thread they build concurrently, each task writing one member
-  // (and its status slot). Each computation is internally deterministic, so
-  // the result is bit-identical to the serial order (and to any mix of
-  // cached and computed matrices).
-  const ParallelOptions& parallel = options_.parallel;
-  Status task_status[3];
-  Status st = ParallelFor(
-      0, 3, /*grain=*/1,
-      [&](size_t task) {
-        switch (task) {
-          case 0:
-            importance_ = ComputeImportance(graph, annotations, metrics_,
-                                            options_.importance);
-            break;
-          case 1: {
-            if (have_affinity) break;
-            auto m = AffinityMatrix::TryCompute(graph, metrics_,
-                                                options_.affinity, parallel);
-            if (m.ok()) affinity_ = std::move(*m);
-            task_status[task] = m.status();
-            break;
-          }
-          case 2: {
             if (have_coverage) break;
-            auto m = CoverageMatrix::TryCompute(
-                graph, annotations, metrics_, options_.coverage, parallel);
-            if (m.ok()) coverage_ = std::move(*m);
+            auto m = patch_source == nullptr
+                         ? CoverageMatrix::TryCompute(graph, annotations,
+                                                      context.metrics_,
+                                                      options.coverage,
+                                                      parallel)
+                         : CoverageMatrix::TryPatch(
+                               graph, annotations, context.metrics_,
+                               patch_source->base.coverage(), dirty,
+                               options.coverage, parallel, patch_source->patch,
+                               patch_source->coverage_stats);
+            if (m.ok()) context.coverage_ = std::move(*m);
             task_status[task] = m.status();
             break;
           }
@@ -221,15 +172,16 @@ Status SummarizerContext::Init(const SchemaGraph& graph,
   for (const Status& ts : task_status) SSUM_RETURN_NOT_OK(ts);
   if (!have_affinity) {
     InstallMatrix(cache, ArtifactCache::kAffinityFamily, key,
-                  affinity_.matrix(), "affinity");
+                  context.affinity_.matrix(), "affinity");
   }
   if (!have_coverage) {
     InstallMatrix(cache, ArtifactCache::kCoverageFamily, key,
-                  coverage_.matrix(), "coverage");
+                  context.coverage_.matrix(), "coverage");
   }
-  SSUM_ASSIGN_OR_RETURN(
-      dominance_, TryComputeDominance(graph, annotations, coverage_, parallel));
-  return Status::OK();
+  SSUM_ASSIGN_OR_RETURN(context.dominance_,
+                        TryComputeDominance(graph, annotations,
+                                            context.coverage_, parallel));
+  return context;
 }
 
 namespace {

@@ -66,30 +66,22 @@ struct SummarizeOptions {
 
 /// Shared per-schema computation cache. All algorithm entry points accept a
 /// prepared context so that repeated summarizations (size sweeps, parameter
-/// studies) reuse the expensive matrices. With more than one thread the
-/// importance iteration and the two all-pairs matrices are computed
-/// concurrently once EdgeMetrics is ready (they only depend on it);
-/// dominance (TryComputeDominance, parallel over elements) follows after
-/// coverage.
+/// studies) reuse the expensive matrices. Make and MakeIncremental are the
+/// only ways to build one, and they share one build: EdgeMetrics, then
+/// importance and the two all-pairs matrices (concurrently with more than
+/// one thread — they only depend on EdgeMetrics), then dominance
+/// (TryComputeDominance, parallel over elements). They differ only in where
+/// the matrices come from.
 class SummarizerContext {
  public:
-  SummarizerContext(const SchemaGraph& graph, const Annotations& annotations,
-                    const SummarizeOptions& options = {});
-
-  /// Warm-start construction: consults `cache` (may be null) for the two
-  /// all-pairs matrices — keyed by the schema, statistics, and
-  /// matrix-relevant option fingerprints — before computing, and installs
-  /// whatever it had to compute. Cache failures of any kind only cost the
-  /// recompute; the result is bit-identical with and without a cache.
-  SummarizerContext(const SchemaGraph& graph, const Annotations& annotations,
-                    const SummarizeOptions& options, ArtifactCache* cache);
-
-  /// Construction that propagates instead of aborting: an expired
+  /// Cold build. Consults `cache` (may be null) for the two all-pairs
+  /// matrices — keyed by the schema, statistics, and matrix-relevant option
+  /// fingerprints — before computing them, and installs whatever it had to
+  /// compute. Cache failures of any kind only cost the recompute; the result
+  /// is bit-identical with and without a cache. An expired
   /// `options.parallel.deadline` surfaces as kDeadlineExceeded (checked on
   /// entry, between matrix row blocks and between dominance element
-  /// blocks). The legacy constructors wrap this
-  /// and abort, matching their historical contract. `graph` and
-  /// `annotations` must outlive the context.
+  /// blocks). `graph` and `annotations` must outlive the context.
   static Result<SummarizerContext> Make(const SchemaGraph& graph,
                                         const Annotations& annotations,
                                         const SummarizeOptions& options = {},
@@ -104,10 +96,12 @@ class SummarizerContext {
   /// `patch.max_dirty_fraction` the patchers fall back to the full
   /// computation on their own. `annotations` must describe the same schema
   /// as `base` (FailedPrecondition otherwise — callers fall back to Make)
-  /// and must outlive the context, as must `base`'s graph. Patched matrices
-  /// are installed in `cache` (may be null) under the *new* content key, so
-  /// later cold runs of the new version hit. `affinity_stats` /
-  /// `coverage_stats` (each may be null) report rows patched vs re-walked.
+  /// and must outlive the context, as must `base`'s graph. `cache` (may be
+  /// null) is never consulted — the patch stats always describe real work —
+  /// but the patched matrices are installed in it under the *new* content
+  /// key, so later cold runs of the new version hit. Same deadline contract
+  /// as Make. `affinity_stats` / `coverage_stats` (each may be null) report
+  /// rows patched vs re-walked.
   static Result<SummarizerContext> MakeIncremental(
       const SummarizerContext& base, const Annotations& annotations,
       ArtifactCache* cache = nullptr, const MatrixPatchOptions& patch = {},
@@ -123,7 +117,7 @@ class SummarizerContext {
   const CoverageMatrix& coverage() const { return coverage_; }
   const DominanceResult& dominance() const { return dominance_; }
 
-  /// How many of the two matrices the constructor loaded from the cache
+  /// How many of the two matrices Make loaded from the cache
   /// (0 = cold, 2 = fully warm). Benches assert warm runs compute nothing.
   int matrices_loaded_from_cache() const { return matrices_from_cache_; }
 
@@ -133,9 +127,24 @@ class SummarizerContext {
   void ResetDeadline() { options_.parallel.deadline = Deadline::Unlimited(); }
 
  private:
-  SummarizerContext() = default;  // Make()/Init() fill every member
-  Status Init(const SchemaGraph& graph, const Annotations& annotations,
-              const SummarizeOptions& options, ArtifactCache* cache);
+  /// Where MakeIncremental's matrices come from: `base`'s, patched.
+  struct PatchSource {
+    const SummarizerContext& base;
+    const MatrixPatchOptions& patch;
+    MatrixPatchStats* affinity_stats;
+    MatrixPatchStats* coverage_stats;
+  };
+
+  SummarizerContext() = default;  // Build() fills every member
+
+  /// The one build behind Make (`patch_source` null: matrices from `cache`,
+  /// else TryCompute) and MakeIncremental (TryPatch against the source's
+  /// base). Installs every matrix not loaded from the cache.
+  static Result<SummarizerContext> Build(const SchemaGraph& graph,
+                                         const Annotations& annotations,
+                                         const SummarizeOptions& options,
+                                         ArtifactCache* cache,
+                                         const PatchSource* patch_source);
 
   const SchemaGraph* graph_ = nullptr;
   const Annotations* annotations_ = nullptr;

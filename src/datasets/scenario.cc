@@ -165,8 +165,8 @@ Status ValidateSpec(const ScenarioSpec& s) {
 }
 
 /// Skewed index pick over [0, n): exponent 1 is uniform, larger exponents
-/// concentrate on low indices (the oldest, shallowest elements) — the
-/// preferential-attachment knob of src/datasets/synthetic.h.
+/// concentrate on low indices (the oldest, shallowest elements) — a
+/// preferential-attachment knob (ScenarioSpec::fanout_skew).
 size_t SkewedIndex(Rng* rng, size_t n, double skew) {
   double u = rng->NextDouble();
   size_t i = static_cast<size_t>(static_cast<double>(n) * std::pow(u, skew));

@@ -17,10 +17,11 @@ Result<QueryDiscoveryRow> RunQueryDiscoveryRow(const DatasetBundle& bundle,
                                            TraversalStrategy::kBreadthFirst);
   row.best_first = AverageDiscoveryCost(oracle, bundle.workload,
                                         TraversalStrategy::kBestFirst);
-  SummarizerContext context(bundle.schema, bundle.annotations, options);
   SchemaSummary summary;
-  SSUM_ASSIGN_OR_RETURN(summary, Summarize(context, row.summary_size,
-                                           Algorithm::kBalanceSummary));
+  SSUM_ASSIGN_OR_RETURN(summary,
+                        Summarize(bundle.schema, bundle.annotations,
+                                  row.summary_size, Algorithm::kBalanceSummary,
+                                  options));
   row.with_summary =
       AverageDiscoveryCostWithSummary(oracle, summary, bundle.workload);
   row.saving = row.best_first > 0 ? 1.0 - row.with_summary / row.best_first
@@ -36,11 +37,13 @@ Result<BalanceRow> RunBalanceRow(const DatasetBundle& bundle,
   DiscoveryOracle oracle(bundle.schema);
   row.best_first = AverageDiscoveryCost(oracle, bundle.workload,
                                         TraversalStrategy::kBestFirst);
-  SummarizerContext context(bundle.schema, bundle.annotations, options);
+  auto context = SummarizerContext::Make(bundle.schema, bundle.annotations,
+                                        options);
+  SSUM_RETURN_NOT_OK(context.status());
   for (Algorithm alg : {Algorithm::kBalanceSummary, Algorithm::kMaxImportance,
                         Algorithm::kMaxCoverage}) {
     SchemaSummary summary;
-    SSUM_ASSIGN_OR_RETURN(summary, Summarize(context, row.summary_size, alg));
+    SSUM_ASSIGN_OR_RETURN(summary, Summarize(*context, row.summary_size, alg));
     double cost =
         AverageDiscoveryCostWithSummary(oracle, summary, bundle.workload);
     switch (alg) {
@@ -62,12 +65,14 @@ Result<std::vector<SizeSweepPoint>> RunSizeSweep(
     const DatasetBundle& bundle, const std::vector<size_t>& sizes,
     const SummarizeOptions& options) {
   DiscoveryOracle oracle(bundle.schema);
-  SummarizerContext context(bundle.schema, bundle.annotations, options);
+  auto context = SummarizerContext::Make(bundle.schema, bundle.annotations,
+                                        options);
+  SSUM_RETURN_NOT_OK(context.status());
   std::vector<SizeSweepPoint> out;
   for (size_t k : sizes) {
     SchemaSummary summary;
     SSUM_ASSIGN_OR_RETURN(summary,
-                          Summarize(context, k, Algorithm::kBalanceSummary));
+                          Summarize(*context, k, Algorithm::kBalanceSummary));
     out.push_back(
         {k, AverageDiscoveryCostWithSummary(oracle, summary, bundle.workload)});
   }
@@ -81,38 +86,29 @@ Result<StructureVsDataRow> RunStructureVsDataRow(
   row.summary_size = bundle.paper_summary_size;
   DiscoveryOracle oracle(bundle.schema);
 
+  // One BalanceSummary discovery cost per statistics/options variant.
+  auto cost = [&](const Annotations& annotations,
+                  const SummarizeOptions& variant) -> Result<double> {
+    SchemaSummary summary;
+    SSUM_ASSIGN_OR_RETURN(summary,
+                          Summarize(bundle.schema, annotations,
+                                    row.summary_size,
+                                    Algorithm::kBalanceSummary, variant));
+    return AverageDiscoveryCostWithSummary(oracle, summary, bundle.workload);
+  };
   // Balanced: p = 0.5 over the real annotations.
-  {
-    SummarizerContext context(bundle.schema, bundle.annotations, options);
-    SchemaSummary summary;
-    SSUM_ASSIGN_OR_RETURN(summary, Summarize(context, row.summary_size,
-                                             Algorithm::kBalanceSummary));
-    row.balanced =
-        AverageDiscoveryCostWithSummary(oracle, summary, bundle.workload);
-  }
+  SSUM_ASSIGN_OR_RETURN(row.balanced, cost(bundle.annotations, options));
   // Fully data driven: p = 1 (importance == cardinality).
-  {
-    SummarizeOptions data_options = options;
-    data_options.importance.neighborhood_factor = 1.0;
-    SummarizerContext context(bundle.schema, bundle.annotations, data_options);
-    SchemaSummary summary;
-    SSUM_ASSIGN_OR_RETURN(summary, Summarize(context, row.summary_size,
-                                             Algorithm::kBalanceSummary));
-    row.data_driven =
-        AverageDiscoveryCostWithSummary(oracle, summary, bundle.workload);
-  }
+  SummarizeOptions data_options = options;
+  data_options.importance.neighborhood_factor = 1.0;
+  SSUM_ASSIGN_OR_RETURN(row.data_driven,
+                        cost(bundle.annotations, data_options));
   // Fully schema driven: RC = 1 everywhere, I0 = 1.
-  {
-    Annotations uniform = Annotations::Uniform(bundle.schema);
-    SummarizeOptions schema_options = options;
-    schema_options.importance.cardinality_init = false;
-    SummarizerContext context(bundle.schema, uniform, schema_options);
-    SchemaSummary summary;
-    SSUM_ASSIGN_OR_RETURN(summary, Summarize(context, row.summary_size,
-                                             Algorithm::kBalanceSummary));
-    row.schema_driven =
-        AverageDiscoveryCostWithSummary(oracle, summary, bundle.workload);
-  }
+  SummarizeOptions schema_options = options;
+  schema_options.importance.cardinality_init = false;
+  SSUM_ASSIGN_OR_RETURN(row.schema_driven,
+                        cost(Annotations::Uniform(bundle.schema),
+                             schema_options));
   return row;
 }
 

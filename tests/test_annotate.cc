@@ -364,8 +364,10 @@ TEST(ShardedAnnotateTest, AnnotateUnitsSumsToSerial) {
   DataTree data = f.MakeData();
   Annotations serial = *AnnotateSchema(data);
   // Skeleton + manually merged unit sub-ranges reproduce the serial pass.
-  Annotations total = *AnnotateSchemaSharded(
-      data, ShardedAnnotateOptions{/*shards=*/1, ParallelOptions{1}});
+  ShardedAnnotateOptions one_shard;
+  one_shard.shards = 1;
+  one_shard.parallel.threads = 1;
+  Annotations total = *AnnotateSchemaSharded(data, one_shard);
   EXPECT_EQ(total, serial);
   const uint64_t units = data.NumUnits();
   ASSERT_EQ(units, 2u);

@@ -7,7 +7,6 @@
 #include "core/metrics.h"
 #include "core/summarize.h"
 #include "datasets/registry.h"
-#include "datasets/synthetic.h"
 #include "schema/schema_builder.h"
 #include "stats/annotate.h"
 
@@ -57,10 +56,11 @@ std::vector<ElementId> AllNonRoot(const SchemaGraph& graph) {
 
 TEST(ApproxSketchTest, FullSketchMatchesCoverageRow) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
   ApproxCoverOptions opts;
   opts.epsilon = 0.0;  // keep every positive entry
-  auto sketches = BuildCoverageSketches(f.schema, context.coverage(),
+  auto sketches = BuildCoverageSketches(f.schema, context->coverage(),
                                         AllNonRoot(f.schema), opts);
   ASSERT_EQ(sketches.size(), f.schema.size() - 1);
   for (const CoverageSketch& s : sketches) {
@@ -68,15 +68,17 @@ TEST(ApproxSketchTest, FullSketchMatchesCoverageRow) {
     for (size_t i = 0; i < s.elems.size(); ++i) {
       EXPECT_NE(s.elems[i], f.schema.root());
       EXPECT_GT(s.values[i], 0.0);
-      EXPECT_EQ(s.values[i], context.coverage().At(s.candidate, s.elems[i]));
-      if (i > 0) EXPECT_LT(s.elems[i - 1], s.elems[i]);  // ascending ids
+      EXPECT_EQ(s.values[i], context->coverage().At(s.candidate, s.elems[i]));
+      if (i > 0) {
+        EXPECT_LT(s.elems[i - 1], s.elems[i]);  // ascending ids
+      }
       mass += s.values[i];
     }
     EXPECT_DOUBLE_EQ(s.mass, mass);
     // Epsilon 0: every positive non-root row entry is present.
     size_t positives = 0;
     for (ElementId e = 1; e < f.schema.size(); ++e) {
-      if (context.coverage().At(s.candidate, e) > 0.0) ++positives;
+      if (context->coverage().At(s.candidate, e) > 0.0) ++positives;
     }
     EXPECT_EQ(s.width(), positives);
   }
@@ -85,15 +87,16 @@ TEST(ApproxSketchTest, FullSketchMatchesCoverageRow) {
 TEST(ApproxSketchTest, SmallerEpsilonKeepsSupersets) {
   auto bundle = LoadDataset(DatasetKind::kXMark, 0.05);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  SummarizerContext context(bundle->schema, bundle->annotations);
-  const std::vector<ElementId>& cands = context.dominance().candidates;
+  auto context = SummarizerContext::Make(bundle->schema, bundle->annotations);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  const std::vector<ElementId>& cands = context->dominance().candidates;
 
   std::vector<std::vector<CoverageSketch>> by_eps;
   for (double eps : {0.0, 0.05, 0.1, 0.3, 0.8}) {
     ApproxCoverOptions opts;
     opts.epsilon = eps;
-    by_eps.push_back(
-        BuildCoverageSketches(bundle->schema, context.coverage(), cands, opts));
+    by_eps.push_back(BuildCoverageSketches(bundle->schema, context->coverage(),
+                                           cands, opts));
   }
   for (size_t i = 1; i < by_eps.size(); ++i) {
     for (size_t c = 0; c < cands.size(); ++c) {
@@ -140,10 +143,11 @@ TEST(ApproxPruneTest, DominatedSketchIsDropped) {
 
 TEST(ApproxSelectTest, LazyGreedyMatchesPlainGreedyOnSketches) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
   ApproxCoverOptions opts;
   opts.epsilon = 0.0;
-  auto sketches = BuildCoverageSketches(f.schema, context.coverage(),
+  auto sketches = BuildCoverageSketches(f.schema, context->coverage(),
                                         AllNonRoot(f.schema), opts);
   std::vector<uint32_t> kept(sketches.size());
   for (uint32_t i = 0; i < kept.size(); ++i) kept[i] = i;
@@ -183,16 +187,17 @@ TEST(ApproxSelectTest, LazyGreedyMatchesPlainGreedyOnSketches) {
 
 TEST(ApproxSelectTest, EdgeCasesReturnCleanly) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
   const std::vector<ElementId> cands = AllNonRoot(f.schema);
 
   // Empty candidate set and k = 0: empty selection, no work.
-  EXPECT_TRUE(ApproxMaxCoverage(f.schema, context.coverage(), {}, 3).empty());
+  EXPECT_TRUE(ApproxMaxCoverage(f.schema, context->coverage(), {}, 3).empty());
   EXPECT_TRUE(
-      ApproxMaxCoverage(f.schema, context.coverage(), cands, 0).empty());
+      ApproxMaxCoverage(f.schema, context->coverage(), cands, 0).empty());
 
   // k beyond every useful candidate: at most the positive-gain prefix.
-  auto all = ApproxMaxCoverage(f.schema, context.coverage(), cands, 100);
+  auto all = ApproxMaxCoverage(f.schema, context->coverage(), cands, 100);
   EXPECT_LE(all.size(), cands.size());
   std::vector<ElementId> sorted = all;
   std::sort(sorted.begin(), sorted.end());
@@ -223,19 +228,20 @@ class ApproxDatasetTest : public ::testing::TestWithParam<DatasetKind> {
 TEST_P(ApproxDatasetTest, DeterministicAcrossThreadsAndRuns) {
   auto bundle = LoadDataset(GetParam(), Scale(GetParam()));
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  SummarizerContext context(bundle->schema, bundle->annotations);
-  const std::vector<ElementId>& cands = context.dominance().candidates;
+  auto context = SummarizerContext::Make(bundle->schema, bundle->annotations);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  const std::vector<ElementId>& cands = context->dominance().candidates;
   const size_t k = std::min<size_t>(5, cands.size());
 
   ApproxCoverOptions serial;
   serial.parallel.threads = 1;
   const auto reference =
-      ApproxMaxCoverage(bundle->schema, context.coverage(), cands, k, serial);
+      ApproxMaxCoverage(bundle->schema, context->coverage(), cands, k, serial);
   for (uint32_t t : {1u, 2u, 3u, 8u}) {
     for (int run = 0; run < 2; ++run) {
       ApproxCoverOptions opts;
       opts.parallel.threads = t;
-      EXPECT_EQ(ApproxMaxCoverage(bundle->schema, context.coverage(), cands,
+      EXPECT_EQ(ApproxMaxCoverage(bundle->schema, context->coverage(), cands,
                                   k, opts),
                 reference)
           << "t=" << t << " run=" << run;
@@ -246,14 +252,15 @@ TEST_P(ApproxDatasetTest, DeterministicAcrossThreadsAndRuns) {
 TEST_P(ApproxDatasetTest, EpsilonQualityOnPaperDatasets) {
   auto bundle = LoadDataset(GetParam(), Scale(GetParam()));
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  SummarizerContext context(bundle->schema, bundle->annotations);
-  const std::vector<ElementId>& cands = context.dominance().candidates;
+  auto context = SummarizerContext::Make(bundle->schema, bundle->annotations);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  const std::vector<ElementId>& cands = context->dominance().candidates;
   const size_t k = std::min<size_t>(4, cands.size());
 
-  auto exact = SelectMaxCoverage(context, k);
+  auto exact = SelectMaxCoverage(*context, k);
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
-  const double exact_cov = CoverageOfSet(bundle->schema, context.affinity(),
-                                         context.coverage(), *exact);
+  const double exact_cov = CoverageOfSet(bundle->schema, context->affinity(),
+                                         context->coverage(), *exact);
   ASSERT_GT(exact_cov, 0.0);
 
   // Tighter sketches never lose retained mass (SmallerEpsilonKeepsSupersets),
@@ -263,9 +270,9 @@ TEST_P(ApproxDatasetTest, EpsilonQualityOnPaperDatasets) {
     ApproxCoverOptions opts;
     opts.epsilon = eps;
     auto approx =
-        ApproxMaxCoverage(bundle->schema, context.coverage(), cands, k, opts);
-    const double cov = CoverageOfSet(bundle->schema, context.affinity(),
-                                     context.coverage(), approx);
+        ApproxMaxCoverage(bundle->schema, context->coverage(), cands, k, opts);
+    const double cov = CoverageOfSet(bundle->schema, context->affinity(),
+                                     context->coverage(), approx);
     EXPECT_GE(cov, 0.95 * exact_cov) << "epsilon=" << eps;
   }
 }
@@ -292,19 +299,21 @@ TEST(ApproxModeTest, WiredPathMatchesEngine) {
 
   SummarizeOptions approx_opts;
   approx_opts.mode = SummaryMode::kApprox;
-  SummarizerContext context(bundle->schema, bundle->annotations, approx_opts);
-  auto wired = SelectMaxCoverage(context, 5);
+  auto context =
+      SummarizerContext::Make(bundle->schema, bundle->annotations, approx_opts);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  auto wired = SelectMaxCoverage(*context, 5);
   ASSERT_TRUE(wired.ok()) << wired.status().ToString();
 
   ApproxCoverOptions engine_opts;
   engine_opts.epsilon = approx_opts.approx_epsilon;
-  auto direct = ApproxMaxCoverage(bundle->schema, context.coverage(),
-                                  context.dominance().candidates, 5,
+  auto direct = ApproxMaxCoverage(bundle->schema, context->coverage(),
+                                  context->dominance().candidates, 5,
                                   engine_opts);
   EXPECT_EQ(*wired, direct);
 
   // The full Summarize facade accepts the mode too.
-  auto summary = Summarize(context, 5, Algorithm::kMaxCoverage);
+  auto summary = Summarize(*context, 5, Algorithm::kMaxCoverage);
   ASSERT_TRUE(summary.ok());
   EXPECT_EQ(summary->abstract_elements.size(), 5u);
 }
@@ -312,62 +321,6 @@ TEST(ApproxModeTest, WiredPathMatchesEngine) {
 TEST(ApproxModeTest, ModeNames) {
   EXPECT_STREQ(SummaryModeName(SummaryMode::kExact), "exact");
   EXPECT_STREQ(SummaryModeName(SummaryMode::kApprox), "approx");
-}
-
-TEST(SyntheticTest, SameSeedSameSchema) {
-  SyntheticSchemaParams params;
-  params.elements = 400;
-  SyntheticSchema a = BuildSyntheticSchema(params);
-  SyntheticSchema b = BuildSyntheticSchema(params);
-  ASSERT_EQ(a.graph.size(), b.graph.size());
-  EXPECT_EQ(a.graph.size(), params.elements);
-  for (ElementId e = 0; e < a.graph.size(); ++e) {
-    EXPECT_EQ(a.graph.label(e), b.graph.label(e));
-    EXPECT_EQ(a.graph.parent(e), b.graph.parent(e));
-    EXPECT_EQ(a.graph.type(e), b.graph.type(e));
-  }
-  EXPECT_EQ(a.graph.value_links(), b.graph.value_links());
-  EXPECT_EQ(a.annotations, b.annotations);
-}
-
-TEST(SyntheticTest, SeedChangesSchema) {
-  SyntheticSchemaParams a_params, b_params;
-  a_params.elements = b_params.elements = 400;
-  b_params.seed = a_params.seed + 1;
-  SyntheticSchema a = BuildSyntheticSchema(a_params);
-  SyntheticSchema b = BuildSyntheticSchema(b_params);
-  ASSERT_EQ(a.graph.size(), b.graph.size());
-  bool differs = a.graph.value_links() != b.graph.value_links();
-  for (ElementId e = 1; e < a.graph.size() && !differs; ++e) {
-    differs = a.graph.parent(e) != b.graph.parent(e) ||
-              a.graph.type(e) != b.graph.type(e);
-  }
-  EXPECT_TRUE(differs);
-}
-
-TEST(SyntheticTest, AnnotationsAreConsistent) {
-  SyntheticSchemaParams params;
-  params.elements = 400;
-  SyntheticSchema s = BuildSyntheticSchema(params);
-  EXPECT_EQ(s.annotations.card(s.graph.root()), 1u);
-  for (ElementId e = 1; e < s.graph.size(); ++e) {
-    const uint64_t card = s.annotations.card(e);
-    EXPECT_GE(card, 1u);
-    EXPECT_LE(card, params.max_card);
-    // One structural-link instance per child instance, and single-valued
-    // children mirror their parent's cardinality.
-    EXPECT_EQ(s.annotations.structural_count(s.graph.parent_link(e)), card);
-    if (!s.graph.type(e).set_of) {
-      EXPECT_EQ(card, s.annotations.card(s.graph.parent(e)));
-    }
-  }
-  // The generator produced a usable summarization input end to end.
-  SummarizeOptions opts;
-  opts.mode = SummaryMode::kApprox;
-  auto summary = Summarize(s.graph, s.annotations, 6, Algorithm::kMaxCoverage,
-                           opts);
-  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-  EXPECT_EQ(summary->abstract_elements.size(), 6u);
 }
 
 }  // namespace

@@ -270,24 +270,26 @@ TEST(CacheTest, SummarizerContextWarmStartIsBitIdentical) {
   Annotations ann = f.MakeAnnotations();
   SummarizeOptions options;
 
-  SummarizerContext cold(f.schema, ann, options, &cache);
-  EXPECT_EQ(cold.matrices_loaded_from_cache(), 0);
+  auto cold = SummarizerContext::Make(f.schema, ann, options, &cache);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold->matrices_loaded_from_cache(), 0);
   EXPECT_EQ(cache.session_counters().installs, 2u);
 
-  SummarizerContext warm(f.schema, ann, options, &cache);
-  EXPECT_EQ(warm.matrices_loaded_from_cache(), 2);
+  auto warm = SummarizerContext::Make(f.schema, ann, options, &cache);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(warm->matrices_loaded_from_cache(), 2);
 
   const size_t n = f.schema.size();
-  EXPECT_EQ(0, std::memcmp(warm.affinity().matrix().data().data(),
-                           cold.affinity().matrix().data().data(),
+  EXPECT_EQ(0, std::memcmp(warm->affinity().matrix().data().data(),
+                           cold->affinity().matrix().data().data(),
                            n * n * sizeof(double)));
-  EXPECT_EQ(0, std::memcmp(warm.coverage().matrix().data().data(),
-                           cold.coverage().matrix().data().data(),
+  EXPECT_EQ(0, std::memcmp(warm->coverage().matrix().data().data(),
+                           cold->coverage().matrix().data().data(),
                            n * n * sizeof(double)));
 
   // Selection from the warm context is identical.
-  auto cold_summary = Summarize(cold, 3);
-  auto warm_summary = Summarize(warm, 3);
+  auto cold_summary = Summarize(*cold, 3);
+  auto warm_summary = Summarize(*warm, 3);
   ASSERT_TRUE(cold_summary.ok());
   ASSERT_TRUE(warm_summary.ok());
   EXPECT_EQ(warm_summary->abstract_elements, cold_summary->abstract_elements);
@@ -298,8 +300,9 @@ TEST(CacheTest, SummaryStoreLoad) {
   Fixture f;
   ArtifactCache cache(MakeCacheDir("summary"));
   Annotations ann = f.MakeAnnotations();
-  SummarizerContext context(f.schema, ann);
-  auto summary = Summarize(context, 3);
+  auto context = SummarizerContext::Make(f.schema, ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  auto summary = Summarize(*context, 3);
   ASSERT_TRUE(summary.ok());
   Fingerprint key{0x5u};
   ASSERT_TRUE(cache.StoreSummary(key, *summary).ok());
@@ -358,14 +361,16 @@ TEST(CacheTest, ApproxAndExactSummariesNeverCollide) {
   // ...so a cached exact summary can never satisfy an approx request, and
   // the round-trip returns each mode its own stored summary.
   ArtifactCache cache(MakeCacheDir("mode_collision"));
-  SummarizerContext context(f.schema, ann, exact_opts);
-  auto exact = Summarize(context, 3, Algorithm::kMaxCoverage);
+  auto context = SummarizerContext::Make(f.schema, ann, exact_opts);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  auto exact = Summarize(*context, 3, Algorithm::kMaxCoverage);
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(cache.StoreSummary(exact_key, *exact).ok());
   EXPECT_FALSE(cache.LoadSummary(f.schema, approx_key).has_value());
 
-  SummarizerContext approx_ctx(f.schema, ann, approx_opts);
-  auto approx = Summarize(approx_ctx, 3, Algorithm::kMaxCoverage);
+  auto approx_ctx = SummarizerContext::Make(f.schema, ann, approx_opts);
+  ASSERT_TRUE(approx_ctx.ok()) << approx_ctx.status().ToString();
+  auto approx = Summarize(*approx_ctx, 3, Algorithm::kMaxCoverage);
   ASSERT_TRUE(approx.ok());
   ASSERT_TRUE(cache.StoreSummary(approx_key, *approx).ok());
   auto exact_hit = cache.LoadSummary(f.schema, exact_key);

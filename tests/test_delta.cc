@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "instance/unit_digest.h"
 #include "stats/annotate.h"
 #include "stats/delta.h"
+#include "store/artifact_cache.h"
 #include "store/codec.h"
 #include "store/fingerprint.h"
 
@@ -243,7 +246,51 @@ struct PatchFixture {
     base_metrics = EdgeMetrics::Compute(v.base.schema(), base_ann);
     next_metrics = EdgeMetrics::Compute(v.base.schema(), next_ann);
   }
+
+  // Both walked matrices behind one interface, so each shared patch-path
+  // test runs for affinity and coverage alike.
+  enum Kind { kAffinity, kCoverage };
+
+  /// Cold matrix `kind` over the base (`next` false) or next statistics.
+  SquareMatrix Compute(Kind kind, bool next, uint32_t max_steps) const {
+    const EdgeMetrics& metrics = next ? next_metrics : base_metrics;
+    if (kind == kAffinity) {
+      return AffinityMatrix::Compute(v.base.schema(), metrics, {max_steps})
+          .matrix();
+    }
+    return CoverageMatrix::Compute(v.base.schema(), next ? next_ann : base_ann,
+                                   metrics, {max_steps})
+        .matrix();
+  }
+
+  /// TryPatch of matrix `kind` from `base` to the next statistics.
+  Result<SquareMatrix> Patch(Kind kind, SquareMatrix base,
+                             std::span<const ElementId> dirty,
+                             uint32_t max_steps,
+                             const MatrixPatchOptions& patch,
+                             MatrixPatchStats* stats) const {
+    if (kind == kAffinity) {
+      auto m = AffinityMatrix::TryPatch(
+          v.base.schema(), next_metrics,
+          AffinityMatrix::FromMatrix(std::move(base)), dirty, {max_steps}, {},
+          patch, stats);
+      if (!m.ok()) return m.status();
+      return m->matrix();
+    }
+    auto m = CoverageMatrix::TryPatch(
+        v.base.schema(), next_ann, next_metrics,
+        CoverageMatrix::FromMatrix(std::move(base)), dirty, {max_steps}, {},
+        patch, stats);
+    if (!m.ok()) return m.status();
+    return m->matrix();
+  }
 };
+
+bool SameBytes(const SquareMatrix& a, const SquareMatrix& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(double)) == 0;
+}
 
 TEST(MatrixPatchTest, AffinityPatchIsBitIdenticalToRecompute) {
   PatchFixture f;
@@ -303,32 +350,39 @@ TEST(MatrixPatchTest, DirtyFractionFallbackStillMatchesRecompute) {
   PatchFixture f;
   const std::vector<ElementId> dirty = DirtyMetricElements(
       f.base_ann, f.base_metrics, f.next_ann, f.next_metrics);
-  AffinityOptions options;
-  options.max_steps = 4;
-  auto base =
-      AffinityMatrix::TryCompute(f.v.base.schema(), f.base_metrics, options);
-  auto full =
-      AffinityMatrix::TryCompute(f.v.base.schema(), f.next_metrics, options);
-  ASSERT_TRUE(base.ok() && full.ok());
   MatrixPatchOptions patch;
   patch.max_dirty_fraction = 0.0;  // force the fallback
-  MatrixPatchStats stats;
-  auto patched = AffinityMatrix::TryPatch(f.v.base.schema(), f.next_metrics,
-                                          *base, dirty, options, {}, patch,
-                                          &stats);
-  ASSERT_TRUE(patched.ok());
-  EXPECT_FALSE(stats.patched);
-  EXPECT_EQ(0, std::memcmp(patched->matrix().data().data(),
-                           full->matrix().data().data(),
-                           full->matrix().data().size() * sizeof(double)));
+  for (auto kind : {PatchFixture::kAffinity, PatchFixture::kCoverage}) {
+    MatrixPatchStats stats;
+    auto patched = f.Patch(kind, f.Compute(kind, /*next=*/false, 4), dirty, 4,
+                           patch, &stats);
+    ASSERT_TRUE(patched.ok()) << "kind=" << kind;
+    EXPECT_FALSE(stats.patched) << "kind=" << kind;
+    EXPECT_TRUE(SameBytes(*patched, f.Compute(kind, /*next=*/true, 4)))
+        << "kind=" << kind;
+  }
+}
+
+TEST(MatrixPatchTest, EmptyDirtySetCopiesTheBase) {
+  PatchFixture f;
+  for (auto kind : {PatchFixture::kAffinity, PatchFixture::kCoverage}) {
+    const SquareMatrix base = f.Compute(kind, /*next=*/false, 4);
+    MatrixPatchStats stats;
+    auto patched = f.Patch(kind, base, {}, 4, {}, &stats);
+    ASSERT_TRUE(patched.ok()) << "kind=" << kind;
+    EXPECT_EQ(stats.dirty_rows, 0u) << "kind=" << kind;
+    EXPECT_EQ(stats.total_rows, f.v.base.schema().size()) << "kind=" << kind;
+    EXPECT_TRUE(stats.patched) << "kind=" << kind;
+    EXPECT_TRUE(SameBytes(*patched, base)) << "kind=" << kind;
+  }
 }
 
 TEST(MatrixPatchTest, WrongOrderBaseFails) {
   PatchFixture f;
-  AffinityMatrix tiny = AffinityMatrix::FromMatrix(SquareMatrix(3, 0.0));
-  auto patched = AffinityMatrix::TryPatch(f.v.base.schema(), f.next_metrics,
-                                          tiny, {});
-  EXPECT_TRUE(patched.status().IsFailedPrecondition());
+  for (auto kind : {PatchFixture::kAffinity, PatchFixture::kCoverage}) {
+    auto patched = f.Patch(kind, SquareMatrix(3, 0.0), {}, 16, {}, nullptr);
+    EXPECT_TRUE(patched.status().IsFailedPrecondition()) << "kind=" << kind;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -375,6 +429,44 @@ TEST(IncrementalContextTest, WrongShapeAnnotationsFail) {
   Annotations foreign;  // empty shape
   auto inc = SummarizerContext::MakeIncremental(*base_ctx, foreign);
   EXPECT_TRUE(inc.status().IsFailedPrecondition());
+}
+
+TEST(IncrementalContextTest, InstallsPatchedMatricesForLaterColdBuilds) {
+  VersionPair v = VersionPair::Make();
+  Annotations base_ann = v.Annotate(v.base);
+  Annotations next_ann = v.Annotate(v.next);
+  const std::string dir = testing::TempDir() + "/ssum_delta_install";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ArtifactCache cache(dir);
+  auto base_ctx = SummarizerContext::Make(v.base.schema(), base_ann);
+  ASSERT_TRUE(base_ctx.ok());
+  auto inc = SummarizerContext::MakeIncremental(*base_ctx, next_ann, &cache);
+  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+  EXPECT_EQ(inc->matrices_loaded_from_cache(), 0);
+  auto cold = SummarizerContext::Make(v.next.schema(), next_ann, {}, &cache);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold->matrices_loaded_from_cache(), 2);
+  EXPECT_TRUE(
+      SameBytes(cold->affinity().matrix(), inc->affinity().matrix()));
+  EXPECT_TRUE(
+      SameBytes(cold->coverage().matrix(), inc->coverage().matrix()));
+}
+
+TEST(IncrementalContextTest, ExpiredDeadlineFails) {
+  VersionPair v = VersionPair::Make();
+  Annotations base_ann = v.Annotate(v.base);
+  Annotations next_ann = v.Annotate(v.next);
+  // MakeIncremental inherits the base's options, deadline included: cancel
+  // the base's token once it is built.
+  auto token = std::make_shared<CancelToken>();
+  SummarizeOptions options;
+  options.parallel.deadline.AttachCancel(token);
+  auto base_ctx = SummarizerContext::Make(v.base.schema(), base_ann, options);
+  ASSERT_TRUE(base_ctx.ok()) << base_ctx.status().ToString();
+  token->Cancel();
+  auto inc = SummarizerContext::MakeIncremental(*base_ctx, next_ann);
+  EXPECT_TRUE(inc.status().IsDeadlineExceeded()) << inc.status().ToString();
 }
 
 // ---------------------------------------------------------------------------

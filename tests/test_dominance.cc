@@ -63,16 +63,17 @@ TEST(DominanceTest, ReplacementNeverLowersCoverage) {
   // dominated element, swapping in the dominator keeps or raises summary
   // coverage. Verified over all singleton summaries.
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
-  const CoverageMatrix& cov = context.coverage();
+  auto context = SummarizerContext::Make(f.schema, f.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  const CoverageMatrix& cov = context->coverage();
   for (ElementId e1 = 1; e1 < f.schema.size(); ++e1) {
     for (ElementId e2 = 1; e2 < f.schema.size(); ++e2) {
       if (e1 == e2) continue;
       if (!Dominates(f.schema, f.ann, cov, e1, e2)) continue;
       double with_dominated =
-          CoverageOfSet(f.schema, context.affinity(), cov, {e2});
+          CoverageOfSet(f.schema, context->affinity(), cov, {e2});
       double with_dominator =
-          CoverageOfSet(f.schema, context.affinity(), cov, {e1});
+          CoverageOfSet(f.schema, context->affinity(), cov, {e1});
       EXPECT_GE(with_dominator + 1e-9, with_dominated)
           << f.schema.label(e1) << " should dominate " << f.schema.label(e2);
     }

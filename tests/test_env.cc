@@ -10,7 +10,7 @@
 #include "common/parallel.h"
 #include "common/retry.h"
 #include "core/summarize.h"
-#include "datasets/synthetic.h"
+#include "datasets/scenario.h"
 #include "store/container.h"
 
 namespace ssum {
@@ -338,14 +338,15 @@ TEST(DeadlineTest, ContextBuildOverManyRowBlocksStopsOnABudget) {
   // 5 ms budget covers: Make must stop with kDeadlineExceeded at a block
   // claim instead of completing. Only the status is asserted, so the test
   // does not depend on how fast the host is.
-  SyntheticSchemaParams params;
-  params.elements = 2000;
-  const SyntheticSchema synth = BuildSyntheticSchema(params);
+  ScenarioSpec spec;
+  spec.schema_elements = 2000;
+  auto ds = ScenarioDataset::Make(spec);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  const Annotations uniform = Annotations::Uniform(ds->schema());
   SummarizeOptions options;
   options.parallel.threads = 1;
   options.parallel.deadline = Deadline::After(5);
-  auto context =
-      SummarizerContext::Make(synth.graph, synth.annotations, options);
+  auto context = SummarizerContext::Make(ds->schema(), uniform, options);
   ASSERT_FALSE(context.ok());
   EXPECT_TRUE(context.status().IsDeadlineExceeded())
       << context.status().ToString();

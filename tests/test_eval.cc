@@ -95,8 +95,9 @@ TEST(ExperimentTest, RowsOnScaledDownDatasets) {
 TEST(ExperimentTest, EvaluateSummaryRejectsForeignSchema) {
   auto b1 = LoadDataset(DatasetKind::kXMark, 0.01);
   ASSERT_TRUE(b1.ok());
-  SummarizerContext context(b1->schema, b1->annotations);
-  auto summary = Summarize(context, 5);
+  auto context = SummarizerContext::Make(b1->schema, b1->annotations);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  auto summary = Summarize(*context, 5);
   ASSERT_TRUE(summary.ok());
   auto cost = EvaluateSummaryCost(*b1, *summary);
   ASSERT_TRUE(cost.ok());
@@ -104,6 +105,24 @@ TEST(ExperimentTest, EvaluateSummaryRejectsForeignSchema) {
   auto b2 = LoadDataset(DatasetKind::kXMark, 0.01);
   ASSERT_TRUE(b2.ok());
   EXPECT_FALSE(EvaluateSummaryCost(*b2, *summary).ok());
+}
+
+TEST(ExperimentTest, ExpiredDeadlineIsReturnedNotFatal) {
+  auto bundle = LoadDataset(DatasetKind::kXMark, 0.01);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  SummarizeOptions options;
+  options.parallel.deadline = Deadline::After(0);
+  auto balance = RunBalanceRow(*bundle, options);
+  EXPECT_EQ(balance.status().code(), StatusCode::kDeadlineExceeded)
+      << balance.status().ToString();
+  // Every runner that builds a context propagates the same way.
+  EXPECT_TRUE(RunQueryDiscoveryRow(*bundle, options)
+                  .status()
+                  .IsDeadlineExceeded());
+  EXPECT_TRUE(RunSizeSweep(*bundle, {3}, options).status().IsDeadlineExceeded());
+  EXPECT_TRUE(RunStructureVsDataRow(*bundle, options)
+                  .status()
+                  .IsDeadlineExceeded());
 }
 
 }  // namespace

@@ -34,8 +34,9 @@ TEST_P(HeadlineTest, EveryQueryCompletesUnderEveryStrategy) {
   auto bundle = LoadDataset(GetParam(), 0.05);
   ASSERT_TRUE(bundle.ok());
   DiscoveryOracle oracle(bundle->schema);
-  SummarizerContext context(bundle->schema, bundle->annotations);
-  auto summary = Summarize(context, bundle->paper_summary_size);
+  auto context = SummarizerContext::Make(bundle->schema, bundle->annotations);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  auto summary = Summarize(*context, bundle->paper_summary_size);
   ASSERT_TRUE(summary.ok());
   for (const QueryIntention& q : bundle->workload.queries) {
     for (TraversalStrategy s :
@@ -53,22 +54,23 @@ TEST_P(HeadlineTest, EveryQueryCompletesUnderEveryStrategy) {
 TEST_P(HeadlineTest, SummariesAreValidAndImportanceConserved) {
   auto bundle = LoadDataset(GetParam(), 0.05);
   ASSERT_TRUE(bundle.ok());
-  SummarizerContext context(bundle->schema, bundle->annotations);
+  auto context = SummarizerContext::Make(bundle->schema, bundle->annotations);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
   for (Algorithm alg : {Algorithm::kMaxImportance, Algorithm::kMaxCoverage,
                         Algorithm::kBalanceSummary}) {
-    auto summary = Summarize(context, bundle->paper_summary_size, alg);
+    auto summary = Summarize(*context, bundle->paper_summary_size, alg);
     ASSERT_TRUE(summary.ok()) << AlgorithmName(alg);
     EXPECT_TRUE(ValidateSummary(*summary).ok()) << AlgorithmName(alg);
     double imp_ratio = SummaryImportanceRatio(
-        bundle->schema, context.importance().importance, *summary);
+        bundle->schema, context->importance().importance, *summary);
     double cov_ratio = SummaryCoverageRatio(
-        bundle->schema, bundle->annotations, context.coverage(), *summary);
+        bundle->schema, bundle->annotations, context->coverage(), *summary);
     EXPECT_GT(imp_ratio, 0.0);
     EXPECT_LE(imp_ratio, 1.0 + 1e-9);
     EXPECT_GT(cov_ratio, 0.0);
     EXPECT_LE(cov_ratio, 1.0 + 1e-9);
   }
-  const auto& imp = context.importance().importance;
+  const auto& imp = context->importance().importance;
   double total = std::accumulate(imp.begin(), imp.end(), 0.0);
   EXPECT_NEAR(total, bundle->annotations.TotalCard(),
               bundle->annotations.TotalCard() * 0.01);

@@ -63,8 +63,9 @@ TEST(MultiLevelDiscoveryTest, SingleLevelMatchesFlatSummary) {
   // With one level, multi-level discovery must coincide with the flat
   // summary-based discovery over the same selection.
   Fixture f;
-  SummarizerContext context(f.ds.schema(), f.ann);
-  auto summary = Summarize(context, 16);
+  auto context = SummarizerContext::Make(f.ds.schema(), f.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  auto summary = Summarize(*context, 16);
   ASSERT_TRUE(summary.ok());
   SummaryLevel level;
   level.abstract_elements = summary->abstract_elements;

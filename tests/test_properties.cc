@@ -139,15 +139,16 @@ TEST_P(PropertyTest, SummaryCoverageRatioInUnitInterval) {
   RandomWorld w(GetParam());
   size_t k = std::min<size_t>(4, w.schema.size() - 2);
   if (k == 0) return;
-  SummarizerContext context(w.schema, w.ann);
-  auto summary = Summarize(context, k);
+  auto context = SummarizerContext::Make(w.schema, w.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  auto summary = Summarize(*context, k);
   ASSERT_TRUE(summary.ok());
   double ratio =
-      SummaryCoverageRatio(w.schema, w.ann, context.coverage(), *summary);
+      SummaryCoverageRatio(w.schema, w.ann, context->coverage(), *summary);
   EXPECT_GE(ratio, 0.0);
   EXPECT_LE(ratio, 1.0 + 1e-9);
   double imp = SummaryImportanceRatio(
-      w.schema, context.importance().importance, *summary);
+      w.schema, context->importance().importance, *summary);
   EXPECT_GE(imp, 0.0);
   EXPECT_LE(imp, 1.0 + 1e-9);
 }
@@ -196,12 +197,13 @@ TEST_P(PropertyTest, CollapsedSummaryStaysConsistent) {
 
 TEST_P(PropertyTest, DominanceAgreesWithCoverageSwap) {
   RandomWorld w(GetParam());
-  SummarizerContext context(w.schema, w.ann);
-  for (const DominancePair& p : context.dominance().pairs) {
-    double dominated_cov = CoverageOfSet(w.schema, context.affinity(),
-                                         context.coverage(), {p.dominated});
-    double dominator_cov = CoverageOfSet(w.schema, context.affinity(),
-                                         context.coverage(), {p.dominator});
+  auto context = SummarizerContext::Make(w.schema, w.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  for (const DominancePair& p : context->dominance().pairs) {
+    double dominated_cov = CoverageOfSet(w.schema, context->affinity(),
+                                         context->coverage(), {p.dominated});
+    double dominator_cov = CoverageOfSet(w.schema, context->affinity(),
+                                         context->coverage(), {p.dominator});
     EXPECT_GE(dominator_cov + 1e-6, dominated_cov)
         << w.schema.PathOf(p.dominator) << " vs "
         << w.schema.PathOf(p.dominated);

@@ -220,8 +220,9 @@ TEST(CodecTest, SquareMatrixOrderMismatchIsFailedPrecondition) {
 TEST(CodecTest, SummaryRoundTrip) {
   Fixture f;
   Annotations ann = f.MakeAnnotations();
-  SummarizerContext context(f.schema, ann);
-  auto summary = Summarize(context, 3);
+  auto context = SummarizerContext::Make(f.schema, ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  auto summary = Summarize(*context, 3);
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
   std::string bytes = EncodeSummary(*summary);
   auto decoded = DecodeSummary(f.schema, bytes);
@@ -234,8 +235,9 @@ TEST(CodecTest, SummaryRoundTrip) {
 TEST(CodecTest, SummaryForWrongSchemaFailsGracefully) {
   Fixture f;
   Annotations ann = f.MakeAnnotations();
-  SummarizerContext context(f.schema, ann);
-  auto summary = Summarize(context, 3);
+  auto context = SummarizerContext::Make(f.schema, ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  auto summary = Summarize(*context, 3);
   ASSERT_TRUE(summary.ok());
   std::string bytes = EncodeSummary(*summary);
   SchemaBuilder b("tiny");
@@ -282,8 +284,9 @@ TEST(CodecTest, MatrixSurvivesArbitraryCorruption) {
 TEST(CodecTest, SummarySurvivesArbitraryCorruption) {
   Fixture f;
   Annotations ann = f.MakeAnnotations();
-  SummarizerContext context(f.schema, ann);
-  auto summary = Summarize(context, 3);
+  auto context = SummarizerContext::Make(f.schema, ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  auto summary = Summarize(*context, 3);
   ASSERT_TRUE(summary.ok());
   std::string good = EncodeSummary(*summary);
   ExpectEveryFlipFails(good, [&f](const std::string& bytes) {

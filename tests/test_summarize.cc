@@ -50,11 +50,12 @@ struct Fixture {
 
 TEST(SummarizeTest, MaxImportancePicksTopK) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
-  auto selected = SelectMaxImportance(context, 2);
+  auto context = SummarizerContext::Make(f.schema, f.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  auto selected = SelectMaxImportance(*context, 2);
   ASSERT_TRUE(selected.ok());
   EXPECT_EQ(selected->size(), 2u);
-  const auto& imp = context.importance().importance;
+  const auto& imp = context->importance().importance;
   // Selected importances are >= any unselected non-root element's.
   double min_selected = 1e300;
   for (ElementId e : *selected) min_selected = std::min(min_selected, imp[e]);
@@ -70,11 +71,12 @@ TEST(SummarizeTest, MaxImportancePicksTopK) {
 
 TEST(SummarizeTest, SizeValidation) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
-  EXPECT_FALSE(SelectMaxImportance(context, 0).ok());
-  EXPECT_FALSE(SelectMaxImportance(context, f.schema.size()).ok());
-  EXPECT_FALSE(SelectMaxCoverage(context, 0).ok());
-  EXPECT_FALSE(SelectBalanced(context, 0).ok());
+  auto context = SummarizerContext::Make(f.schema, f.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  EXPECT_FALSE(SelectMaxImportance(*context, 0).ok());
+  EXPECT_FALSE(SelectMaxImportance(*context, f.schema.size()).ok());
+  EXPECT_FALSE(SelectMaxCoverage(*context, 0).ok());
+  EXPECT_FALSE(SelectBalanced(*context, 0).ok());
 }
 
 TEST(SummarizeTest, MaxCoverageTopsUpWhenCandidatesDoNotReachK) {
@@ -85,9 +87,10 @@ TEST(SummarizeTest, MaxCoverageTopsUpWhenCandidatesDoNotReachK) {
   for (SummaryMode mode : {SummaryMode::kExact, SummaryMode::kApprox}) {
     SummarizeOptions opts;
     opts.mode = mode;
-    SummarizerContext context(f.schema, f.ann, opts);
-    ASSERT_LT(context.dominance().candidates.size(), 6u);
-    auto selected = SelectMaxCoverage(context, 6);
+    auto context = SummarizerContext::Make(f.schema, f.ann, opts);
+    ASSERT_TRUE(context.ok()) << context.status().ToString();
+    ASSERT_LT(context->dominance().candidates.size(), 6u);
+    auto selected = SelectMaxCoverage(*context, 6);
     ASSERT_TRUE(selected.ok()) << SummaryModeName(mode);
     EXPECT_EQ(selected->size(), 6u);
     std::vector<ElementId> sorted = *selected;
@@ -102,44 +105,48 @@ TEST(SummarizeTest, ExactMaxCoverageBeatsOrMatchesGreedy) {
   Fixture f;
   SummarizeOptions exact_opts;
   exact_opts.max_coverage_enumeration_budget = 1000000;
-  SummarizerContext exact_ctx(f.schema, f.ann, exact_opts);
-  auto exact = SelectMaxCoverage(exact_ctx, 2);
+  auto exact_ctx = SummarizerContext::Make(f.schema, f.ann, exact_opts);
+  ASSERT_TRUE(exact_ctx.ok()) << exact_ctx.status().ToString();
+  auto exact = SelectMaxCoverage(*exact_ctx, 2);
   ASSERT_TRUE(exact.ok());
 
   SummarizeOptions greedy_opts;
   greedy_opts.max_coverage_enumeration_budget = 0;  // force greedy
-  SummarizerContext greedy_ctx(f.schema, f.ann, greedy_opts);
-  auto greedy = SelectMaxCoverage(greedy_ctx, 2);
+  auto greedy_ctx = SummarizerContext::Make(f.schema, f.ann, greedy_opts);
+  ASSERT_TRUE(greedy_ctx.ok()) << greedy_ctx.status().ToString();
+  auto greedy = SelectMaxCoverage(*greedy_ctx, 2);
   ASSERT_TRUE(greedy.ok());
 
-  double exact_cov = CoverageOfSet(f.schema, exact_ctx.affinity(),
-                                   exact_ctx.coverage(), *exact);
-  double greedy_cov = CoverageOfSet(f.schema, greedy_ctx.affinity(),
-                                    greedy_ctx.coverage(), *greedy);
+  double exact_cov = CoverageOfSet(f.schema, exact_ctx->affinity(),
+                                   exact_ctx->coverage(), *exact);
+  double greedy_cov = CoverageOfSet(f.schema, greedy_ctx->affinity(),
+                                    greedy_ctx->coverage(), *greedy);
   EXPECT_GE(exact_cov + 1e-9, greedy_cov);
 }
 
 TEST(SummarizeTest, MaxCoverageAvoidsDominatedElements) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
-  auto selected = SelectMaxCoverage(context, 2);
+  auto context = SummarizerContext::Make(f.schema, f.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  auto selected = SelectMaxCoverage(*context, 2);
   ASSERT_TRUE(selected.ok());
-  const auto& dominated = context.dominance().dominated;
+  const auto& dominated = context->dominance().dominated;
   // Candidates sufficed (the schema is larger than k), so no selected
   // element is dominated.
-  if (context.dominance().candidates.size() >= 2) {
+  if (context->dominance().candidates.size() >= 2) {
     for (ElementId e : *selected) EXPECT_FALSE(dominated[e]);
   }
 }
 
 TEST(SummarizeTest, BalancedSkipsDominatedDuplicates) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
-  auto selected = SelectBalanced(context, 3);
+  auto context = SummarizerContext::Make(f.schema, f.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  auto selected = SelectBalanced(*context, 3);
   ASSERT_TRUE(selected.ok());
   EXPECT_EQ(selected->size(), 3u);
   // No selected element may be dominated by another selected element.
-  const auto& pairs = context.dominance().pairs;
+  const auto& pairs = context->dominance().pairs;
   for (ElementId a : *selected) {
     for (ElementId b : *selected) {
       bool dominates = false;
@@ -189,16 +196,19 @@ TEST_P(SummarizeParallelTest, ExactMaxCoverageSetIsThreadCountInvariant) {
 
   SummarizeOptions serial_opts;
   serial_opts.parallel.threads = 1;
-  SummarizerContext serial_ctx(bundle->schema, bundle->annotations,
-                               serial_opts);
+  auto serial_ctx =
+      SummarizerContext::Make(bundle->schema, bundle->annotations, serial_opts);
+  ASSERT_TRUE(serial_ctx.ok()) << serial_ctx.status().ToString();
   SummarizeOptions parallel_opts;
   parallel_opts.parallel.threads = 8;
-  SummarizerContext parallel_ctx(bundle->schema, bundle->annotations,
-                                 parallel_opts);
+  auto parallel_ctx = SummarizerContext::Make(bundle->schema,
+                                              bundle->annotations,
+                                              parallel_opts);
+  ASSERT_TRUE(parallel_ctx.ok()) << parallel_ctx.status().ToString();
 
   for (size_t k : {2u, 3u, 5u}) {
-    auto serial = SelectMaxCoverage(serial_ctx, k);
-    auto parallel = SelectMaxCoverage(parallel_ctx, k);
+    auto serial = SelectMaxCoverage(*serial_ctx, k);
+    auto parallel = SelectMaxCoverage(*parallel_ctx, k);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     EXPECT_EQ(*serial, *parallel) << "k=" << k;
@@ -238,13 +248,14 @@ INSTANTIATE_TEST_SUITE_P(Datasets, SummarizeParallelTest,
 
 TEST(SummarizeTest, ImportanceRatioGrowsWithK) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
   double prev = 0;
   for (size_t k = 1; k <= 4; ++k) {
-    auto summary = Summarize(context, k, Algorithm::kMaxImportance);
+    auto summary = Summarize(*context, k, Algorithm::kMaxImportance);
     ASSERT_TRUE(summary.ok());
     double ratio = SummaryImportanceRatio(
-        f.schema, context.importance().importance, *summary);
+        f.schema, context->importance().importance, *summary);
     EXPECT_GE(ratio + 1e-12, prev);
     prev = ratio;
   }

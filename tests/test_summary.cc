@@ -57,9 +57,10 @@ struct Fixture {
 
 TEST(SummaryTest, BuildAssignsEveryElement) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
-  auto summary = BuildSummary(f.schema, context.affinity(), context.coverage(),
-                              {f.auction, f.person});
+  auto context = SummarizerContext::Make(f.schema, f.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  auto summary = BuildSummary(f.schema, context->affinity(),
+                              context->coverage(), {f.auction, f.person});
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
   EXPECT_TRUE(ValidateSummary(*summary).ok());
   EXPECT_EQ(summary->size(), 2u);
@@ -88,9 +89,10 @@ TEST(SummaryTest, BuildAssignsEveryElement) {
 
 TEST(SummaryTest, AbstractLinksConsolidateCrossingEdges) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
-  SchemaSummary summary = *BuildSummary(f.schema, context.affinity(),
-                                        context.coverage(),
+  auto context = SummarizerContext::Make(f.schema, f.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  SchemaSummary summary = *BuildSummary(f.schema, context->affinity(),
+                                        context->coverage(),
                                         {f.auction, f.person});
   // bidder sits in the person group (see BuildAssignsEveryElement), so the
   // auction->bidder structural link crosses the groups while the
@@ -109,11 +111,12 @@ TEST(SummaryTest, AbstractLinksConsolidateCrossingEdges) {
 
 TEST(SummaryTest, ValueLinksSurfaceAsDashedAbstractLinks) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
   // Select auction and address: bidder joins the auction group, person the
   // address group, so the bidder->person value link crosses.
-  SchemaSummary summary = *BuildSummary(f.schema, context.affinity(),
-                                        context.coverage(),
+  SchemaSummary summary = *BuildSummary(f.schema, context->affinity(),
+                                        context->coverage(),
                                         {f.auction, f.address});
   EXPECT_EQ(summary.representative[f.bidder], f.auction);
   EXPECT_EQ(summary.representative[f.person], f.address);
@@ -128,9 +131,10 @@ TEST(SummaryTest, ValueLinksSurfaceAsDashedAbstractLinks) {
 
 TEST(SummaryTest, RejectsBadSelections) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
-  const auto& aff = context.affinity();
-  const auto& cov = context.coverage();
+  auto context = SummarizerContext::Make(f.schema, f.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  const auto& aff = context->affinity();
+  const auto& cov = context->coverage();
   EXPECT_FALSE(BuildSummary(f.schema, aff, cov, {}).ok());
   EXPECT_FALSE(BuildSummary(f.schema, aff, cov, {f.schema.root()}).ok());
   EXPECT_FALSE(BuildSummary(f.schema, aff, cov, {f.person, f.person}).ok());
@@ -139,9 +143,10 @@ TEST(SummaryTest, RejectsBadSelections) {
 
 TEST(SummaryTest, ValidateCatchesCorruption) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
-  SchemaSummary summary = *BuildSummary(f.schema, context.affinity(),
-                                        context.coverage(),
+  auto context = SummarizerContext::Make(f.schema, f.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  SchemaSummary summary = *BuildSummary(f.schema, context->affinity(),
+                                        context->coverage(),
                                         {f.auction, f.person});
   SchemaSummary broken = summary;
   broken.representative[f.name] = f.name;  // not an abstract element
@@ -188,11 +193,12 @@ TEST(SummaryTest, BuildFromAssignmentRejectsInconsistency) {
 
 TEST(MetricsTest, ImportanceRatioMatchesDefinition) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
-  SchemaSummary summary = *BuildSummary(f.schema, context.affinity(),
-                                        context.coverage(),
+  auto context = SummarizerContext::Make(f.schema, f.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  SchemaSummary summary = *BuildSummary(f.schema, context->affinity(),
+                                        context->coverage(),
                                         {f.auction, f.person});
-  const auto& imp = context.importance().importance;
+  const auto& imp = context->importance().importance;
   double total = 0;
   for (double v : imp) total += v;
   double expected =
@@ -202,25 +208,27 @@ TEST(MetricsTest, ImportanceRatioMatchesDefinition) {
 
 TEST(MetricsTest, CoverageRatioBounds) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
-  SchemaSummary summary = *BuildSummary(f.schema, context.affinity(),
-                                        context.coverage(),
+  auto context = SummarizerContext::Make(f.schema, f.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  SchemaSummary summary = *BuildSummary(f.schema, context->affinity(),
+                                        context->coverage(),
                                         {f.auction, f.person});
   double ratio =
-      SummaryCoverageRatio(f.schema, f.ann, context.coverage(), summary);
+      SummaryCoverageRatio(f.schema, f.ann, context->coverage(), summary);
   EXPECT_GT(ratio, 0.0);
   EXPECT_LE(ratio, 1.0 + 1e-9);
 }
 
 TEST(MetricsTest, MoreElementsMoreImportance) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
-  SchemaSummary small = *BuildSummary(f.schema, context.affinity(),
-                                      context.coverage(), {f.person});
-  SchemaSummary large = *BuildSummary(f.schema, context.affinity(),
-                                      context.coverage(),
+  auto context = SummarizerContext::Make(f.schema, f.ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  SchemaSummary small = *BuildSummary(f.schema, context->affinity(),
+                                      context->coverage(), {f.person});
+  SchemaSummary large = *BuildSummary(f.schema, context->affinity(),
+                                      context->coverage(),
                                       {f.person, f.auction, f.bidder});
-  const auto& imp = context.importance().importance;
+  const auto& imp = context->importance().importance;
   EXPECT_GT(SummaryImportanceRatio(f.schema, imp, large),
             SummaryImportanceRatio(f.schema, imp, small));
 }
