@@ -8,6 +8,7 @@
 // examples) — the API is identical from annotation onward.
 
 #include <cstdio>
+#include <string>
 
 #include "core/metrics.h"
 #include "core/summarize.h"
@@ -55,7 +56,9 @@ int main() {
   std::vector<NodeId> author_nodes;
   for (int i = 0; i < 3; ++i) {
     NodeId a = must(db.AddNode(n_authors, author));
-    must(db.AddNode(a, author_id, "a" + std::to_string(i)));
+    std::string id = "a";
+    id += std::to_string(i);
+    must(db.AddNode(a, author_id, id));
     must(db.AddNode(a, *schema.FindPath("store/authors/author/name"),
                     "Author " + std::to_string(i)));
     author_nodes.push_back(a);

@@ -44,7 +44,7 @@ Status StatusBuilder::Build() const {
   std::string where;
   if (!source_.empty()) {
     where += source_;
-    if (line_ > 0) where += ":" + std::to_string(line_);
+    if (line_ > 0) where.append(":").append(std::to_string(line_));
   } else if (line_ > 0) {
     where += "line " + std::to_string(line_);
   }

@@ -6,11 +6,6 @@
 
 namespace ssum {
 
-namespace {
-
-/// Step factor for u -> v (adjacency entry i at u):
-///   edge_affinity(u->v) * W(v->u)
-/// where W(v->u) is read through the mirror index.
 EdgeFactors CoverageStepFactors(const SchemaGraph& graph,
                                 const EdgeMetrics& metrics) {
   EdgeFactors factors(graph.size());
@@ -25,6 +20,8 @@ EdgeFactors CoverageStepFactors(const SchemaGraph& graph,
   }
   return factors;
 }
+
+namespace {
 
 /// The walk behind TryCompute and TryPatch: re-walks `rows` of `m` over the
 /// coverage step factors of `metrics`, then scales each row by card(t) in

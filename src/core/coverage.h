@@ -13,6 +13,12 @@ struct CoverageOptions {
   uint32_t max_steps = 16;
 };
 
+/// Formula 3's per-step walk factors: the factor for u -> v (adjacency entry
+/// i at u) is edge_affinity(u -> v) * W(v -> u), W read through the mirror
+/// index. CoverageMatrix walks these without dividing by the step count.
+EdgeFactors CoverageStepFactors(const SchemaGraph& graph,
+                                const EdgeMetrics& metrics);
+
 /// Dense all-pairs element coverage (paper Formula 3):
 ///
 ///   C(a->b) = Card_b * max over paths of

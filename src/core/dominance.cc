@@ -1,35 +1,58 @@
 #include "core/dominance.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace ssum {
 
 namespace {
 
-/// Theorem 1's inequalities for e1 (dominator) over e2 != e1, given e_c and
-/// C(e_c -> e1) — the first maximum of column e1, root and e1 excluded.
-/// Reads rows e1 and e2 of the coverage matrix once.
-bool TheoremOneHolds(const SchemaGraph& graph, const Annotations& annotations,
-                     const CoverageMatrix& coverage, ElementId e1,
-                     ElementId e2, ElementId ec, double ec_cov) {
+/// Theorem 1's sums C1 and C2 for up to kGroup dominator candidates `e1s`
+/// against one e2, in one pass over row e2 and the e1 rows. Each pair keeps
+/// its own accumulators in element order; adding +0.0 where by2 <= by1
+/// leaves a sum unchanged (sums start at +0.0 and coverage entries are never
+/// -0.0), so the select matches the branchy per-pair loop bit for bit.
+constexpr size_t kGroup = 8;
+
+void TheoremOneSums(const SchemaGraph& graph, const CoverageMatrix& coverage,
+                    const ElementId* e1s, size_t count, ElementId e2,
+                    double* c1, double* c2) {
   const size_t n = graph.size();
-  const double* row1 = coverage.matrix().Row(e1);
   const double* row2 = coverage.matrix().Row(e2);
-  // E, C1, C2 per Theorem 1.
-  double c1 = 0;
-  double c2 = 0;
+  // Unused slots read row e2 itself: by2 > by2 never holds, so they add
+  // nothing, and the fixed-width inner loop keeps every sum in a register.
+  const double* rows1[kGroup];
+  for (size_t j = 0; j < kGroup; ++j) {
+    rows1[j] = j < count ? coverage.matrix().Row(e1s[j]) : row2;
+  }
+  double s1[kGroup] = {};
+  double s2[kGroup] = {};
   for (ElementId e = 0; e < n; ++e) {
     if (e == graph.root()) continue;
     const double by2 = row2[e];
-    const double by1 = row1[e];
-    if (by2 > by1) {
-      c1 += by1;
-      c2 += by2;
+    double by1[kGroup];
+    for (size_t j = 0; j < kGroup; ++j) by1[j] = rows1[j][e];
+    for (size_t j = 0; j < kGroup; ++j) {
+      const bool in_e = by2 > by1[j];
+      s1[j] += in_e ? by1[j] : 0.0;
+      s2[j] += in_e ? by2 : 0.0;
     }
   }
+  std::copy_n(s1, count, c1);
+  std::copy_n(s2, count, c2);
+}
+
+/// Theorem 1's inequalities for e1 (dominator) over e2 != e1, given the
+/// sums C1 and C2, e_c and C(e_c -> e1) — the first maximum of column e1,
+/// root and e1 excluded.
+bool TheoremOneHolds(const Annotations& annotations,
+                     const CoverageMatrix& coverage, ElementId e1,
+                     ElementId e2, double c1, double c2, ElementId ec,
+                     double ec_cov) {
   const double card1 = static_cast<double>(annotations.card(e1));
   const double delta = c2 - c1;
-  if (delta > card1 - row2[e1]) return false;
+  if (delta > card1 - coverage.At(e2, e1)) return false;
   if (ec != kInvalidElement && ec != e2) {
     if (delta > card1 - ec_cov) return false;
   }
@@ -52,7 +75,20 @@ bool Dominates(const SchemaGraph& graph, const Annotations& annotations,
       ec_cov = c;
     }
   }
-  return TheoremOneHolds(graph, annotations, coverage, e1, e2, ec, ec_cov);
+  // E, C1, C2 per Theorem 1, pair by pair: the reference that
+  // TryComputeDominance's grouped pass must reproduce.
+  const double* row1 = coverage.matrix().Row(e1);
+  const double* row2 = coverage.matrix().Row(e2);
+  double c1 = 0;
+  double c2 = 0;
+  for (ElementId e = 0; e < graph.size(); ++e) {
+    if (e == graph.root()) continue;
+    if (row2[e] > row1[e]) {
+      c1 += row1[e];
+      c2 += row2[e];
+    }
+  }
+  return TheoremOneHolds(annotations, coverage, e1, e2, c1, c2, ec, ec_cov);
 }
 
 std::vector<ElementId> ExtendedAncestors(const SchemaGraph& graph,
@@ -114,11 +150,21 @@ Result<DominanceResult> TryComputeDominance(const SchemaGraph& graph,
       [&](size_t i) {
         const ElementId e = static_cast<ElementId>(i);
         if (e == graph.root()) return;
-        for (ElementId anc : ExtendedAncestors(graph, e)) {
-          if (anc == graph.root()) continue;
-          if (TheoremOneHolds(graph, annotations, coverage, anc, e, ec[anc],
-                              ec_cov[anc])) {
-            dominators[e].push_back(anc);
+        std::vector<ElementId> ancestors = ExtendedAncestors(graph, e);
+        std::erase(ancestors, graph.root());
+        // Groups of up to kGroup ancestors share one pass over row e.
+        double c1[kGroup];
+        double c2[kGroup];
+        for (size_t g = 0; g < ancestors.size(); g += kGroup) {
+          const size_t count = std::min(kGroup, ancestors.size() - g);
+          TheoremOneSums(graph, coverage, ancestors.data() + g, count, e, c1,
+                         c2);
+          for (size_t j = 0; j < count; ++j) {
+            const ElementId anc = ancestors[g + j];
+            if (TheoremOneHolds(annotations, coverage, anc, e, c1[j], c2[j],
+                                ec[anc], ec_cov[anc])) {
+              dominators[e].push_back(anc);
+            }
           }
         }
       },

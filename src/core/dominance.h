@@ -47,7 +47,9 @@ bool Dominates(const SchemaGraph& graph, const Annotations& annotations,
 /// only prunes); fabricating them would not be.
 ///
 /// Every element's e_c is computed once, in one row-major pass over the
-/// coverage matrix, so each pair test reads only the two coverage rows.
+/// coverage matrix. Each element's extended ancestors are then tested in
+/// groups of up to 8 in one pass over its own coverage row, with per-pair
+/// sums in element order, so the sums equal Dominates' bit for bit.
 /// Elements are scanned in parallel per `parallel`, each into its own pair
 /// slot, and the slots are concatenated in element order: `pairs` is
 /// identical (order included) at every thread count, and equal to the

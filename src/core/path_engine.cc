@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
+#include <mutex>
 
 #include "common/logging.h"
 
@@ -81,29 +83,52 @@ WalkPlan WalkPlan::Build(const SchemaGraph& graph, const EdgeFactors& factors) {
       ++idx;
     }
   }
+  // One BFS over the pruned adjacency, restarted at the lowest unvisited id
+  // for every further component. WalkRows walks its sources in this order.
+  plan.visit_order.reserve(n);
+  std::vector<uint8_t> seen(n, 0);
+  for (ElementId start = 0; start < n; ++start) {
+    if (seen[start]) continue;
+    seen[start] = 1;
+    size_t head = plan.visit_order.size();
+    plan.visit_order.push_back(start);
+    for (; head < plan.visit_order.size(); ++head) {
+      const ElementId u = plan.visit_order[head];
+      for (uint32_t idx = plan.row_offsets[u]; idx < plan.row_offsets[u + 1];
+           ++idx) {
+        const ElementId v = plan.neighbor_ids[idx];
+        if (!seen[v]) {
+          seen[v] = 1;
+          plan.visit_order.push_back(v);
+        }
+      }
+    }
+  }
   return plan;
 }
 
 namespace {
 
-/// Lane-interleaved scratch reused across every lane block of one batch.
+/// Lane-interleaved scratch reused across every lane block of one
+/// MaxProductWalksBatch call, or of one WalkRows worker.
 /// `cur`/`next` are never bulk-cleared: `next` lanes are fully written on
 /// first touch each step (stamp-guarded), and `cur` is only ever read at
-/// frontier vertices, which are always freshly written. Only `best` needs a
-/// per-block zero fill. `stamp` uses monotonically increasing epochs so it
-/// survives block reuse without a reset pass.
+/// frontier vertices, which are always freshly written. Only `best` and
+/// `reach` need a per-block zero fill. `stamp` uses monotonically
+/// increasing epochs so it survives block reuse without a reset pass.
 template <size_t kB>
 struct BatchScratch {
   AlignedVector<double> cur;
   AlignedVector<double> next;
   AlignedVector<double> best;
+  AlignedVector<double> reach;  ///< best raw product over fewer steps
   std::vector<uint64_t> stamp;
   std::vector<ElementId> frontier;
   std::vector<ElementId> touched;
   uint64_t epoch = 0;
 
   explicit BatchScratch(size_t n)
-      : cur(n * kB), next(n * kB), best(n * kB), stamp(n, 0) {
+      : cur(n * kB), next(n * kB), best(n * kB), reach(n * kB), stamp(n, 0) {
     frontier.reserve(n);
     touched.reserve(n);
   }
@@ -131,7 +156,9 @@ void RunLaneBlock(const WalkPlan& plan, const ElementId* sources, size_t count,
   double* const cur0 = scratch.cur.data();
   double* const next0 = scratch.next.data();
   double* const best0 = scratch.best.data();
+  double* const reach0 = scratch.reach.data();
   std::fill(scratch.best.begin(), scratch.best.end(), 0.0);
+  std::fill(scratch.reach.begin(), scratch.reach.end(), 0.0);
   scratch.frontier.clear();
 
   for (size_t lane = 0; lane < count; ++lane) {
@@ -143,6 +170,7 @@ void RunLaneBlock(const WalkPlan& plan, const ElementId* sources, size_t count,
       for (size_t l = 0; l < kB; ++l) cv[l] = 0.0;
     }
     cur0[s * kB + lane] = 1.0;
+    reach0[s * kB + lane] = 1.0;  // the zero-step walk
   }
 
   std::vector<ElementId>& frontier = scratch.frontier;
@@ -168,25 +196,29 @@ void RunLaneBlock(const WalkPlan& plan, const ElementId* sources, size_t count,
         }
       }
     }
-    // Fold the k-step values into best and rebuild the frontier with only
-    // the vertices some lane reached with a positive product — the batched
-    // equivalent of the scalar kernel's `base <= 0` row skip and its `any`
-    // early exit (an empty frontier ends the loop). All-zero lanes can
-    // neither improve best nor seed a positive product downstream, so
-    // dropping them never changes a result bit. std::max keeps the
-    // incumbent on ties, exactly like the scalar kernel's strict `>`
-    // update, so the fold is branch-free.
+    // Fold every k-step value into best, then rebuild the frontier with
+    // only the vertices where some lane beat its `reach`, the best product
+    // of a shorter walk to the same vertex (docs/performance.md "Walk
+    // engine" has the exactness argument). A walk extended from a dominated
+    // value is matched by the same suffix on the shorter walk, which scores
+    // at least as well, so dropping it never changes a result bit. This
+    // subsumes the scalar kernel's `base <= 0` row skip and its `any` early
+    // exit (reach starts at +0, and an empty frontier ends the loop).
+    // std::max keeps the incumbent on ties, exactly like the scalar
+    // kernel's strict `>` update, so the fold is branch-free.
     const double scale = options.divide_by_steps ? 1.0 / k : 1.0;
     frontier.clear();
     for (const ElementId v : touched) {
       const double* __restrict nv = AssumeLaneAligned(next + v * kB);
-      double vtop = 0.0;
-      for (size_t l = 0; l < kB; ++l) vtop = std::max(vtop, nv[l]);
-      if (vtop > 0.0) {
-        double* __restrict bv = AssumeLaneAligned(best0 + v * kB);
-        for (size_t l = 0; l < kB; ++l) bv[l] = std::max(bv[l], nv[l] * scale);
-        frontier.push_back(v);
+      double* __restrict bv = AssumeLaneAligned(best0 + v * kB);
+      double* __restrict rv = AssumeLaneAligned(reach0 + v * kB);
+      bool grew = false;
+      for (size_t l = 0; l < kB; ++l) {
+        bv[l] = std::max(bv[l], nv[l] * scale);
+        grew |= nv[l] > rv[l];
+        rv[l] = std::max(rv[l], nv[l]);
       }
+      if (grew) frontier.push_back(v);
     }
     std::swap(cur, next);
   }
@@ -225,17 +257,49 @@ Status WalkRows(
     const WalkSearchOptions& walk, SquareMatrix& out,
     const ParallelOptions& parallel,
     const std::function<void(ElementId, std::span<double>)>& finish) {
-  const size_t blocks = (sources.size() + kWalkLaneWidth - 1) / kWalkLaneWidth;
+  // Lane blocks of nearby sources share most of their pruned wavefronts.
+  // A row depends only on its own source, so the order changes no result.
+  std::vector<uint32_t> copies(plan.size(), 0);
+  for (const ElementId s : sources) {
+    SSUM_CHECK(s < plan.size(), "WalkRows: source out of range");
+    ++copies[s];
+  }
+  std::vector<ElementId> ordered;
+  ordered.reserve(sources.size());
+  for (const ElementId s : plan.visit_order) {
+    ordered.insert(ordered.end(), copies[s], s);
+  }
+  SSUM_CHECK(out.size() == plan.size(), "WalkRows: matrix shape mismatch");
+  // Idle scratch arenas: a block takes one, or makes one while all are in
+  // use, and hands it back, so a build allocates one arena per concurrent
+  // worker instead of one per block.
+  using Scratch = BatchScratch<kWalkLaneWidth>;
+  std::mutex idle_mu;
+  std::vector<std::unique_ptr<Scratch>> idle;
+  const size_t blocks = (ordered.size() + kWalkLaneWidth - 1) / kWalkLaneWidth;
   return ParallelFor(
       0, blocks, /*grain=*/1,
       [&](size_t block) {
+        std::unique_ptr<Scratch> scratch;
+        {
+          std::lock_guard<std::mutex> lock(idle_mu);
+          if (!idle.empty()) {
+            scratch = std::move(idle.back());
+            idle.pop_back();
+          }
+        }
+        if (scratch == nullptr) {
+          scratch = std::make_unique<Scratch>(plan.size());
+        }
         const size_t begin = block * kWalkLaneWidth;
-        const std::span<const ElementId> lane = sources.subspan(
-            begin, std::min(kWalkLaneWidth, sources.size() - begin));
+        const std::span<const ElementId> lane = std::span(ordered).subspan(
+            begin, std::min(kWalkLaneWidth, ordered.size() - begin));
         std::span<double> rows[kWalkLaneWidth];
         for (size_t i = 0; i < lane.size(); ++i) rows[i] = out.RowSpan(lane[i]);
-        MaxProductWalksBatch(plan, lane, walk, {rows, lane.size()});
+        RunLaneBlock(plan, lane.data(), lane.size(), walk, *scratch, rows);
         for (size_t i = 0; i < lane.size(); ++i) finish(lane[i], rows[i]);
+        std::lock_guard<std::mutex> lock(idle_mu);
+        idle.push_back(std::move(scratch));
       },
       parallel);
 }

@@ -72,11 +72,17 @@ inline constexpr size_t kWalkLaneWidth = 8;
 /// dead edges (affinity factor sets are zero-heavy). Build() rejects
 /// self-edges (SchemaGraph cannot produce them; the batched kernel relies
 /// on source != target to keep its input and output lanes non-aliasing).
+///
+/// `visit_order` lists every element once, in the order of one BFS over the
+/// pruned adjacency (restarted at the lowest unvisited id per component).
+/// WalkRows groups its sources into lane blocks in this order, so each block
+/// holds nearby sources whose wavefronts overlap.
 struct WalkPlan {
   size_t num_elements = 0;
   AlignedVector<uint32_t> row_offsets;   ///< num_elements + 1 entries
   AlignedVector<uint32_t> neighbor_ids;  ///< one per adjacency record
   AlignedVector<double> edge_factors;    ///< parallel to neighbor_ids
+  std::vector<ElementId> visit_order;    ///< BFS order, num_elements entries
 
   size_t size() const { return num_elements; }
   size_t num_edges() const { return neighbor_ids.size(); }
@@ -120,8 +126,11 @@ std::vector<double> MaxProductWalks(const SchemaGraph& graph,
 /// explains why), but advances kWalkLaneWidth sources per relaxation step:
 /// the inner loop is a dense gather of the block's `cur` lanes, a broadcast
 /// multiply by the edge factor, and a vertical max into the `next` lanes —
-/// with per-lane active flags replacing the scalar kernel's global `any`
-/// scan and a touched-vertex list replacing its full-frontier clear.
+/// with a touched-vertex list replacing the scalar kernel's full-frontier
+/// clear. A vertex stays on the frontier only while some lane reaches it
+/// with a product strictly above every shorter walk's; the rest cannot
+/// change a maximum. The scalar kernel keeps the unpruned search as the
+/// reference.
 ///
 /// `out_rows[i]` receives the result row for `sources[i]` and must view
 /// plan.size() doubles (e.g. SquareMatrix::RowSpan). Sources may repeat.
@@ -223,7 +232,8 @@ class SquareMatrix {
 /// (AffinityMatrix / CoverageMatrix TryCompute and TryPatch): walks each
 /// source in `sources` into row `source` of `out`, then calls
 /// finish(source, row) once per walked row for the formula's scaling and
-/// diagonal. The ParallelFor unit is one lane block of kWalkLaneWidth
+/// diagonal. Sources are walked in plan.visit_order, whatever their order
+/// in `sources`. The ParallelFor unit is one lane block of kWalkLaneWidth
 /// sources (grain 1), so every row has exactly one writer and any thread
 /// count yields bit-identical rows; since MaxProductWalksBatch results do
 /// not depend on which sources share a block, a patched row equals the

@@ -131,7 +131,7 @@ class XmlBuilder : public InstanceVisitor {
       case AtomicKind::kNone:
         break;
     }
-    return "v" + std::to_string(serial_);
+    return std::string("v").append(std::to_string(serial_));
   }
 
   const SchemaGraph& schema_;

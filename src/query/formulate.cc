@@ -20,7 +20,7 @@ ElementId IterationEntity(const SchemaGraph& schema, ElementId e) {
 
 /// Absolute slash path with a leading '/', attributes as '@name'.
 std::string AbsolutePath(const SchemaGraph& schema, ElementId e) {
-  return "/" + schema.PathOf(e);
+  return std::string("/").append(schema.PathOf(e));
 }
 
 /// Path of `e` relative to `ancestor` ("." when equal).
@@ -67,8 +67,8 @@ Result<std::string> FormulateXQuerySkeleton(const SchemaGraph& schema,
   std::ostringstream os;
   size_t vi = 0;
   for (ElementId entity : entities) {
-    std::string var = "$" + std::string(1, names[vi % 10]) +
-                      (vi >= 10 ? std::to_string(vi / 10) : "");
+    std::string var = std::string("$").append(1, names[vi % 10]);
+    if (vi >= 10) var += std::to_string(vi / 10);
     ++vi;
     var_of[entity] = var;
     // Nest under an enclosing entity variable when one exists.

@@ -31,7 +31,7 @@ Workload GenerateWorkload(const SchemaGraph& schema,
   workload.name = "synthetic(focus=" + std::to_string(options.focus) + ")";
   for (size_t q = 0; q < options.num_queries; ++q) {
     QueryIntention intention;
-    intention.name = "s" + std::to_string(q + 1);
+    intention.name = std::string("s").append(std::to_string(q + 1));
     size_t target_size =
         1 + static_cast<size_t>(rng.NextPoisson(
                 std::max(0.0, options.mean_size - 1.0)));

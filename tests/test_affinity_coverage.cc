@@ -41,7 +41,8 @@ struct WorkedExample {
     w->o = builder.SetRcd(builder.Root(), "open_auction");
     w->b = builder.SetRcd(w->o, "bidder");
     for (int i = 0; i < 10; ++i) {
-      w->others.push_back(builder.Simple(w->o, "c" + std::to_string(i)));
+      w->others.push_back(
+          builder.Simple(w->o, std::string("c").append(std::to_string(i))));
     }
     return std::move(builder).Build();
   }
@@ -140,7 +141,7 @@ TEST(PathEngineTest, StepBoundLimitsReach) {
   ElementId cur = builder.Root();
   std::vector<ElementId> chain;
   for (int i = 0; i < 6; ++i) {
-    cur = builder.SetRcd(cur, "n" + std::to_string(i));
+    cur = builder.SetRcd(cur, std::string("n").append(std::to_string(i)));
     chain.push_back(cur);
   }
   SchemaGraph schema = std::move(builder).Build();
@@ -182,7 +183,7 @@ TEST(CoverageTest, CompetitionReducesCoverage) {
     *parent = builder.SetRcd(builder.Root(), "p");
     *child = builder.SetRcd(*parent, "c0");
     for (int i = 1; i < n_children; ++i) {
-      builder.SetRcd(*parent, "c" + std::to_string(i));
+      builder.SetRcd(*parent, std::string("c").append(std::to_string(i)));
     }
     return std::move(builder).Build();
   };

@@ -112,7 +112,8 @@ TEST(CafpTest, ClusterCountRespectsK) {
   SchemaBuilder b("r");
   std::vector<ElementId> ents;
   for (int i = 0; i < 8; ++i) {
-    ElementId e = b.SetRcd(b.Root(), "e" + std::to_string(i));
+    ElementId e =
+        b.SetRcd(b.Root(), std::string("e").append(std::to_string(i)));
     b.Simple(e, "leaf" + std::to_string(i));
     ents.push_back(e);
   }

@@ -163,8 +163,9 @@ TEST_P(ImportancePropertyTest, ConservationOnRandomTrees) {
   for (int i = 0; i < n; ++i) {
     ElementId parent = nodes[rng.NextBounded(nodes.size())];
     bool simple = rng.NextBool(0.3);
-    ElementId e = simple ? b.Simple(parent, "s" + std::to_string(i))
-                         : b.SetRcd(parent, "r" + std::to_string(i));
+    const std::string suffix = std::to_string(i);
+    ElementId e = simple ? b.Simple(parent, std::string("s").append(suffix))
+                         : b.SetRcd(parent, std::string("r").append(suffix));
     // Simple elements cannot take children, so only interior nodes are
     // eligible parents for later additions.
     if (!simple) nodes.push_back(e);

@@ -30,9 +30,10 @@ struct Fixture {
     // Six entities, each with two leaves; entity i references entity i-1.
     std::vector<ElementId> prev;
     for (int i = 0; i < 6; ++i) {
-      ElementId e = b.SetRcd(b.Root(), "e" + std::to_string(i));
-      b.Simple(e, "a" + std::to_string(i));
-      b.Simple(e, "b" + std::to_string(i));
+      const std::string suffix = std::to_string(i);
+      ElementId e = b.SetRcd(b.Root(), std::string("e").append(suffix));
+      b.Simple(e, std::string("a").append(suffix));
+      b.Simple(e, std::string("b").append(suffix));
       f->entities.push_back(e);
       if (i > 0) b.Link(e, f->entities[static_cast<size_t>(i) - 1]);
     }

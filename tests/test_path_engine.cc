@@ -207,6 +207,95 @@ TEST_P(WalkEngineTest, BitIdenticalToScalarOnEveryRow) {
   }
 }
 
+/// root -> x directly (factor 0.5) or root -> y -> w -> x over a value
+/// link (0.9 per step, 0.729 in three steps), then a chain z1..z4 below x
+/// (0.9 per step). The longer route to x has the larger product, so the
+/// batched kernel must keep x on its frontier after reaching it at step 1.
+/// Divided by the step count the direct route wins at x (0.5 > 0.243), yet
+/// the detour wins again at z4 (0.729 * 0.9^4 / 7 > 0.5 * 0.9^4 / 5).
+struct DetourGraph {
+  ElementId x = 0, y = 0, w = 0, z1 = 0, z4 = 0;
+  SchemaGraph graph;
+  EdgeFactors factors;
+
+  DetourGraph() : graph(Make(this)), factors(graph.size()) {
+    for (ElementId e = 0; e < graph.size(); ++e) {
+      factors[e].assign(graph.neighbors(e).size(), 0.9);
+    }
+    const auto& root_nbrs = graph.neighbors(graph.root());
+    for (size_t i = 0; i < root_nbrs.size(); ++i) {
+      if (root_nbrs[i].other == x) factors[graph.root()][i] = 0.5;
+    }
+  }
+
+  static SchemaGraph Make(DetourGraph* d) {
+    SchemaBuilder b("r");
+    d->x = b.SetRcd(b.Root(), "x");
+    d->y = b.SetRcd(b.Root(), "y");
+    d->w = b.SetRcd(d->y, "w");
+    d->z1 = b.SetRcd(d->x, "z1");
+    const ElementId z2 = b.SetRcd(d->z1, "z2");
+    const ElementId z3 = b.SetRcd(z2, "z3");
+    d->z4 = b.SetRcd(z3, "z4");
+    b.Link(d->w, d->x);
+    return std::move(b).Build();
+  }
+
+  /// Every source row of `run` must equal the scalar walk byte for byte.
+  template <typename Run>
+  void ExpectScalarRows(Run&& run, const WalkSearchOptions& opts) const {
+    for (ElementId s = 0; s < graph.size(); ++s) {
+      auto got = run(graph, factors, s, opts);
+      auto ref = MaxProductWalks(graph, factors, s, opts);
+      ASSERT_EQ(got.size(), ref.size());
+      EXPECT_EQ(0, std::memcmp(got.data(), ref.data(),
+                               ref.size() * sizeof(double)))
+          << "source " << s << " max_steps " << opts.max_steps
+          << " divide_by_steps " << opts.divide_by_steps;
+    }
+  }
+};
+
+constexpr double kDetour = 0.9 * 0.9 * 0.9;    // root -> y -> w -> x
+constexpr double kChain = 0.9 * 0.9 * 0.9 * 0.9;  // x -> z1 -> ... -> z4
+
+TEST_P(WalkEngineTest, LongerWalkBeatsShorterWalk) {
+  const DetourGraph d;
+  auto run = [&](const SchemaGraph& g, const EdgeFactors& f, ElementId s,
+                 const WalkSearchOptions& o) { return Run(g, f, s, o); };
+  WalkSearchOptions opts;
+  opts.max_steps = 16;
+  auto best = Run(d.graph, d.factors, d.graph.root(), opts);
+  EXPECT_DOUBLE_EQ(best[d.x], kDetour);  // 3 steps beat 1
+  EXPECT_DOUBLE_EQ(best[d.z4], kDetour * kChain);
+  d.ExpectScalarRows(run, opts);
+  opts.divide_by_steps = true;
+  best = Run(d.graph, d.factors, d.graph.root(), opts);
+  EXPECT_DOUBLE_EQ(best[d.x], 0.5);
+  EXPECT_DOUBLE_EQ(best[d.z4], kDetour * kChain / 7);
+  d.ExpectScalarRows(run, opts);
+}
+
+TEST_P(WalkEngineTest, BestWalkUsesExactlyMaxSteps) {
+  // The 7-step detour to z4 wins in both modes when the budget is exactly
+  // 7; one step less leaves only the direct 5-step walk.
+  const DetourGraph d;
+  auto run = [&](const SchemaGraph& g, const EdgeFactors& f, ElementId s,
+                 const WalkSearchOptions& o) { return Run(g, f, s, o); };
+  for (bool divide : {false, true}) {
+    WalkSearchOptions opts;
+    opts.divide_by_steps = divide;
+    opts.max_steps = 7;
+    auto best = Run(d.graph, d.factors, d.graph.root(), opts);
+    EXPECT_DOUBLE_EQ(best[d.z4], kDetour * kChain / (divide ? 7 : 1));
+    d.ExpectScalarRows(run, opts);
+    opts.max_steps = 6;
+    best = Run(d.graph, d.factors, d.graph.root(), opts);
+    EXPECT_DOUBLE_EQ(best[d.z4], 0.5 * kChain / (divide ? 5 : 1));
+    d.ExpectScalarRows(run, opts);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(WalkEngines, WalkEngineTest,
                          ::testing::Values(WalkEngine::kScalar,
                                            WalkEngine::kBatchedSingle,

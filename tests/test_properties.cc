@@ -45,12 +45,13 @@ struct RandomWorld {
     size_t n = 15 + rng.NextBounded(35);
     for (size_t i = 0; i < n; ++i) {
       ElementId parent = parents[rng.NextBounded(parents.size())];
+      const std::string suffix = std::to_string(i);
       if (rng.NextBool(0.35)) {
-        b.Simple(parent, "s" + std::to_string(i));
+        b.Simple(parent, std::string("s").append(suffix));
       } else {
         ElementId e = rng.NextBool(0.7)
-                          ? b.SetRcd(parent, "r" + std::to_string(i))
-                          : b.Rcd(parent, "q" + std::to_string(i));
+                          ? b.SetRcd(parent, std::string("r").append(suffix))
+                          : b.Rcd(parent, std::string("q").append(suffix));
         parents.push_back(e);
         interior->push_back(e);
       }

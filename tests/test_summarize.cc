@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 
 #include "core/metrics.h"
@@ -345,6 +346,95 @@ TEST_P(GreedyEquivalenceTest, MatchesCoverageOfSetGreedy) {
               reference_cov)
         << "threads=" << threads;
   }
+}
+
+/// A small schema whose greedy rounds hit every branch of the take-over
+/// select. d1 has the same positive affinity toward its sibling d2 and its
+/// child leaf, but leaf covers it far better: once round 1 has picked d2,
+/// the equal-affinity clause of TakesOver decides round 2 (leaf over p).
+/// Every round offers each candidate to itself, and from round 2 on some
+/// elements are already used.
+struct GreedyTieFixture {
+  ElementId p = 0, c1 = 0, c2 = 0, q = 0, d1 = 0, d2 = 0, leaf = 0;
+  SchemaGraph schema;
+  Annotations ann;
+
+  GreedyTieFixture() : schema(Make(this)), ann(schema) {
+    ann.set_card(schema.root(), 1);
+    Set(p, 160);
+    Set(c1, 20);
+    Set(c2, 40);
+    Set(q, 80);
+    Set(d1, 40);
+    Set(d2, 160);
+    Set(leaf, 160);
+  }
+
+  void Set(ElementId e, uint64_t c) {
+    ann.set_card(e, c);
+    ann.set_structural_count(schema.parent_link(e), c);
+  }
+
+  static SchemaGraph Make(GreedyTieFixture* f) {
+    SchemaBuilder b("db");
+    f->p = b.SetRcd(b.Root(), "p");
+    f->c1 = b.SetRcd(f->p, "c1");
+    f->c2 = b.SetRcd(f->p, "c2");
+    f->q = b.SetRcd(b.Root(), "q");
+    f->d1 = b.SetRcd(f->q, "d1");
+    f->d2 = b.SetRcd(f->q, "d2");
+    f->leaf = b.SetSimple(f->d1, "leaf");
+    return std::move(b).Build();
+  }
+};
+
+TEST(GreedyMaxCoverageTest, TieFixtureMatchesReferenceAtEveryK) {
+  GreedyTieFixture f;
+  for (uint32_t threads : {1u, 4u}) {
+    SummarizeOptions options;
+    options.parallel.threads = threads;
+    options.max_coverage_enumeration_budget = 0;  // always greedy
+    auto context = SummarizerContext::Make(f.schema, f.ann, options);
+    ASSERT_TRUE(context.ok()) << context.status().ToString();
+    const AffinityMatrix& a = context->affinity();
+    const CoverageMatrix& c = context->coverage();
+    // The equal-affinity clause of TakesOver is live for d1.
+    ASSERT_GT(a.At(f.d1, f.d2), 0.0);
+    ASSERT_EQ(a.At(f.d1, f.d2), a.At(f.d1, f.leaf));
+    ASSERT_GT(c.At(f.leaf, f.d1), c.At(f.d2, f.d1));
+    const std::vector<ElementId>& cands = context->dominance().candidates;
+    ASSERT_GE(cands.size(), 3u);
+    auto first_two = SelectMaxCoverage(*context, 2);
+    ASSERT_TRUE(first_two.ok());
+    ASSERT_EQ(*first_two, (std::vector<ElementId>{f.d2, f.leaf}));
+    for (size_t k = 1; k < cands.size(); ++k) {
+      ASSERT_TRUE(TakesGreedyPath(*context, k));
+      double reference_cov = 0.0;
+      const std::vector<ElementId> reference =
+          ReferenceGreedy(*context, k, &reference_cov);
+      auto selected = SelectMaxCoverage(*context, k);
+      ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+      EXPECT_EQ(*selected, reference) << "k=" << k << " threads=" << threads;
+      EXPECT_EQ(CoverageOfSet(f.schema, a, c, *selected), reference_cov)
+          << "k=" << k << " threads=" << threads;
+    }
+  }
+}
+
+TEST(GreedyMaxCoverageTest, ExpiredDeadlineStopsBeforeTheFirstRound) {
+  GreedyTieFixture f;
+  SummarizeOptions options;
+  options.max_coverage_enumeration_budget = 0;
+  auto token = std::make_shared<CancelToken>();
+  options.parallel.deadline.AttachCancel(token);
+  auto context = SummarizerContext::Make(f.schema, f.ann, options);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  ASSERT_TRUE(TakesGreedyPath(*context, 2));
+  token->Cancel();
+  auto selected = SelectMaxCoverage(*context, 2);
+  ASSERT_FALSE(selected.ok());
+  EXPECT_TRUE(selected.status().IsDeadlineExceeded())
+      << selected.status().ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(
