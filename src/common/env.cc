@@ -7,6 +7,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,8 +15,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <system_error>
 
 #include "common/string_util.h"
@@ -296,18 +295,53 @@ Result<std::unique_ptr<WritableFile>> PosixEnv::NewWritableFile(
       std::make_unique<PosixWritableFile>(file, path));
 }
 
+namespace {
+
+/// Reads an open descriptor to EOF. One allocation sized from fstat, filled
+/// by read(2); reads continue into a small tail buffer until EOF, so a file
+/// that grew after the fstat, or one that reports no size (procfs, pipes),
+/// still reads whole.
+Result<std::string> ReadToEnd(int fd, const std::string& path) {
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    return Status::IoError("cannot stat '" + path + "': " +
+                           std::strerror(errno));
+  }
+  std::string bytes(static_cast<size_t>(std::max<off_t>(st.st_size, 0)),
+                    '\0');
+  size_t filled = 0;
+  char tail[4096];
+  while (true) {
+    const bool into_bytes = filled < bytes.size();
+    char* dst = into_bytes ? bytes.data() + filled : tail;
+    const size_t room = into_bytes ? bytes.size() - filled : sizeof(tail);
+    const ssize_t got = ::read(fd, dst, room);
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError("read failed for '" + path + "': " +
+                             std::strerror(errno));
+    }
+    if (got == 0) break;
+    if (!into_bytes) bytes.append(tail, static_cast<size_t>(got));
+    filled += static_cast<size_t>(got);
+  }
+  bytes.resize(filled);
+  return bytes;
+}
+
+}  // namespace
+
 Result<std::string> PosixEnv::ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) {
       return Status::NotFound("'" + path + "' does not exist");
     }
-    return Status::IoError("cannot open '" + path + "'");
+    return Status::IoError("cannot open '" + path + "': " +
+                           std::strerror(errno));
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::IoError("read failed for '" + path + "'");
+  Result<std::string> bytes = ReadToEnd(fd, path);
+  ::close(fd);
   return bytes;
 }
 

@@ -47,10 +47,11 @@ uint64_t HashBytes(std::string_view bytes);
 /// Order-dependent combiner for composing fingerprints from parts.
 uint64_t HashCombine(uint64_t seed, uint64_t value);
 
-/// CRC32C (Castagnoli, the iSCSI/ext4 polynomial) over `bytes`, software
-/// table implementation. Used as the per-section and trailer checksum of the
-/// binary snapshot containers (src/store/container.h). `seed` allows
-/// incremental computation: pass a previous return value to continue.
+/// CRC32C (Castagnoli, the iSCSI/ext4 polynomial) over `bytes`, portable
+/// slice-by-8 table implementation (no intrinsics). Used as the per-section
+/// and trailer checksum of the binary snapshot containers
+/// (src/store/container.h). `seed` allows incremental computation: pass a
+/// previous return value to continue.
 uint32_t Crc32c(std::string_view bytes, uint32_t seed = 0);
 uint32_t Crc32c(const void* data, size_t size, uint32_t seed = 0);
 

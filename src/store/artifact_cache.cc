@@ -191,11 +191,6 @@ std::optional<std::string> ArtifactCache::LoadVerified(const char* family,
               /*foreign=*/false);
     return std::nullopt;
   }
-  auto container = ParseContainer(*bytes);
-  if (!container.ok()) {
-    CountMiss(path, container.status(), /*foreign=*/false);
-    return std::nullopt;
-  }
   return std::move(*bytes);
 }
 

@@ -195,9 +195,11 @@ class ArtifactCache {
 
  private:
   std::string PathFor(const char* family, const Fingerprint& key) const;
-  /// Reads + verifies a container file, classifying failures into the
-  /// counters. Returns the bytes only when fully parseable as the current
-  /// format version and `kind`.
+  /// Reads a container file and checks its header, classifying failures
+  /// into the counters. Returns the bytes only when the header names the
+  /// current format version and `kind`. The full parse (every CRC) is left
+  /// to the caller's Decode*, whose failure the caller counts through
+  /// CountMiss, so each byte is checksummed by one parse, not two.
   std::optional<std::string> LoadVerified(const char* family,
                                           const Fingerprint& key,
                                           uint32_t kind);

@@ -29,6 +29,18 @@ void AppendU64(std::string& out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
 }
 
+void StoreU64(char* at, uint64_t v) {
+  for (int i = 0; i < 8; ++i) at[i] = static_cast<char>(v >> (8 * i));
+}
+
+uint64_t LoadU64(const char* at) {
+  uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) {
+    v = (v << 8) | static_cast<unsigned char>(at[i]);
+  }
+  return v;
+}
+
 /// Bounds-checked little-endian cursor over one section payload. Decoders
 /// pre-validate the total size, so reads here failing is a codec bug — but
 /// the reader still refuses to run past the end (returns false) so that a
@@ -48,17 +60,8 @@ class PayloadReader {
   }
   bool ReadU64(uint64_t* v) {
     if (p_.size() - at_ < 8) return false;
-    *v = 0;
-    for (int i = 7; i >= 0; --i) {
-      *v = (*v << 8) | static_cast<unsigned char>(p_[at_ + i]);
-    }
+    *v = LoadU64(p_.data() + at_);
     at_ += 8;
-    return true;
-  }
-  bool ReadDouble(double* v) {
-    uint64_t bits;
-    if (!ReadU64(&bits)) return false;
-    *v = std::bit_cast<double>(bits);
     return true;
   }
   size_t remaining() const { return p_.size() - at_; }
@@ -211,12 +214,13 @@ Result<Annotations> DecodeAnnotations(const SchemaGraph& graph,
 }
 
 std::string EncodeSquareMatrix(const SquareMatrix& matrix) {
-  std::string payload;
   const size_t n = matrix.size();
-  payload.reserve(8 + 8 * n * n);
-  AppendU64(payload, n);
+  std::string payload(8 + 8 * n * n, '\0');
+  char* at = payload.data();
+  StoreU64(at, n);
   for (double v : matrix.data()) {
-    AppendU64(payload, std::bit_cast<uint64_t>(v));
+    at += 8;
+    StoreU64(at, std::bit_cast<uint64_t>(v));
   }
   ContainerWriter writer(PayloadKind::kSquareMatrix);
   writer.AddSection(kSecMatrix, payload);
@@ -250,9 +254,15 @@ Result<SquareMatrix> DecodeSquareMatrix(std::string_view container_bytes,
         " does not match the schema (expected " +
         std::to_string(expected_n) + ")");
   }
+  // The size check above pins n*n doubles after the order field, so the
+  // copy-out runs over the payload directly instead of through `r`.
   SquareMatrix matrix(static_cast<size_t>(n), 0.0);
+  const char* at = sec.data() + 8;
   for (size_t row = 0; row < n; ++row) {
-    for (double& v : matrix.RowSpan(row)) r.ReadDouble(&v);
+    for (double& v : matrix.RowSpan(row)) {
+      v = std::bit_cast<double>(LoadU64(at));
+      at += 8;
+    }
   }
   return matrix;
 }

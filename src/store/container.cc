@@ -19,6 +19,10 @@ void AppendU64(std::string& out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
 }
 
+void StoreU32(char* at, uint32_t v) {
+  for (int i = 0; i < 4; ++i) at[i] = static_cast<char>(v >> (8 * i));
+}
+
 uint32_t LoadU32(std::string_view bytes, size_t at) {
   uint32_t v = 0;
   for (int i = 3; i >= 0; --i) {
@@ -160,29 +164,32 @@ Result<Container> ParseContainer(std::string_view bytes) {
 }
 
 ContainerWriter::ContainerWriter(uint32_t payload_kind,
-                                 uint32_t format_version)
-    : payload_kind_(payload_kind), format_version_(format_version) {}
+                                 uint32_t format_version) {
+  out_.append(kContainerMagic, kContainerMagicSize);
+  AppendU32(out_, format_version);
+  AppendU32(out_, payload_kind);
+  // Section count and header CRC are sealed by Finish().
+  out_.append(8, '\0');
+}
 
 void ContainerWriter::AddSection(uint32_t tag, std::string_view payload) {
-  AppendU32(body_, tag);
-  AppendU64(body_, payload.size());
-  body_.append(payload);
-  AppendU32(body_, Crc32c(payload));
+  // Room for this section and the trailer, so a container with one large
+  // section is built with a single allocation and no regrowth copy.
+  out_.reserve(out_.size() + kContainerSectionOverhead + payload.size() +
+               kContainerTrailerSize);
+  AppendU32(out_, tag);
+  AppendU64(out_, payload.size());
+  out_.append(payload);
+  AppendU32(out_, Crc32c(payload));
   ++section_count_;
 }
 
 std::string ContainerWriter::Finish() && {
-  std::string out;
-  out.reserve(kContainerHeaderSize + body_.size() + kContainerTrailerSize);
-  out.append(kContainerMagic, kContainerMagicSize);
-  AppendU32(out, format_version_);
-  AppendU32(out, payload_kind_);
-  AppendU32(out, section_count_);
-  AppendU32(out, Crc32c(out));
-  out.append(body_);
-  AppendU64(out, out.size() + kContainerTrailerSize);
-  AppendU32(out, Crc32c(out));
-  return out;
+  StoreU32(out_.data() + 16, section_count_);
+  StoreU32(out_.data() + 20, Crc32c(out_.data(), 20));
+  AppendU64(out_, out_.size() + kContainerTrailerSize);
+  AppendU32(out_, Crc32c(out_));
+  return std::move(out_);
 }
 
 Status AtomicWriteFile(Env* env, const std::string& path,

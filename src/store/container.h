@@ -100,8 +100,9 @@ Result<ContainerInfo> PeekContainer(std::string_view bytes);
 /// All errors carry the byte offset of the first inconsistency.
 Result<Container> ParseContainer(std::string_view bytes);
 
-/// Builds containers. Sections are appended in order; Finish() seals the
-/// container and returns the bytes.
+/// Builds containers. Sections are appended in order straight into the
+/// output buffer; Finish() seals the section count, header CRC and trailer
+/// and returns that buffer, so each payload byte is copied once.
 class ContainerWriter {
  public:
   /// `format_version` is overridable only to fabricate version-skew
@@ -117,10 +118,10 @@ class ContainerWriter {
   std::string Finish() &&;
 
  private:
-  uint32_t payload_kind_;
-  uint32_t format_version_;
   uint32_t section_count_ = 0;
-  std::string body_;  // section stream, accumulated
+  // The container being built: the header (count and CRC still zero until
+  // Finish) followed by every section appended so far.
+  std::string out_;
 };
 
 /// Writes `bytes` to `path` atomically and durably through `env`: write to

@@ -117,6 +117,42 @@ TEST(CacheTest, MatrixShapeMismatchCountsAsMismatch) {
       cache.LoadMatrix(ArtifactCache::kAffinityFamily, key, 5).has_value());
   EXPECT_EQ(cache.session_counters().mismatch, 1u);
   EXPECT_EQ(cache.session_counters().misses, 1u);
+  // The bytes are sound, only the wrong shape: never quarantined.
+  EXPECT_EQ(cache.session_counters().corrupt, 0u);
+  EXPECT_EQ(cache.session_counters().quarantined, 0u);
+  EXPECT_TRUE(std::filesystem::exists(
+      ContainerPath(cache, ArtifactCache::kAffinityFamily, key)));
+}
+
+TEST(CacheTest, FlippedMatrixByteIsOneCorruptQuarantinedMiss) {
+  SquareMatrix m(6, 0.25);
+  const Fingerprint key{43};
+  const size_t payload_at = kContainerHeaderSize + 12;
+  const std::string good = EncodeSquareMatrix(m);
+  // Header field, section size, payload body, section CRC, trailer CRC: a
+  // flip anywhere is caught by the single parse inside the decoder and
+  // counted once.
+  for (size_t at : {size_t{17}, kContainerHeaderSize + 5, payload_at + 8,
+                    good.size() - kContainerTrailerSize - 2,
+                    good.size() - 1}) {
+    ArtifactCache cache(MakeCacheDir("flip_matrix"));
+    ASSERT_TRUE(cache.StoreMatrix(ArtifactCache::kAffinityFamily, key, m).ok());
+    const std::string path =
+        ContainerPath(cache, ArtifactCache::kAffinityFamily, key);
+    std::string bad = good;
+    bad[at] ^= 0x04;
+    ASSERT_TRUE(AtomicWriteFile(path, bad).ok());
+
+    EXPECT_FALSE(
+        cache.LoadMatrix(ArtifactCache::kAffinityFamily, key, 6).has_value());
+    const CacheCounters c = cache.session_counters();
+    EXPECT_EQ(c.misses, 1u) << "flip at " << at;
+    EXPECT_EQ(c.corrupt, 1u) << "flip at " << at;
+    EXPECT_EQ(c.quarantined, 1u) << "flip at " << at;
+    EXPECT_EQ(c.hits, 0u) << "flip at " << at;
+    EXPECT_EQ(c.mismatch, 0u) << "flip at " << at;
+    EXPECT_FALSE(std::filesystem::exists(path)) << "flip at " << at;
+  }
 }
 
 TEST(CacheTest, CorruptContainerIsMissThenReinstallRecovers) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/parse_limits.h"
 #include "common/random.h"
@@ -226,6 +228,67 @@ TEST(LoggingTest, LevelGate) {
   EXPECT_EQ(GetLogLevel(), LogLevel::kError);
   SSUM_LOG(kInfo) << "suppressed";
   SetLogLevel(old);
+}
+
+
+// Bitwise CRC32C, one bit per step: the reference the table-driven
+// implementation must agree with at every length and alignment.
+uint32_t BitwiseCrc32c(const unsigned char* p, size_t n, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32cTest, KnownAnswers) {
+  EXPECT_EQ(Crc32c(std::string_view("123456789")), 0xE3069283u);
+  EXPECT_EQ(Crc32c(std::string_view()), 0u);
+  // RFC 3720 (iSCSI) appendix B.4.
+  std::string bytes(32, '\0');
+  EXPECT_EQ(Crc32c(bytes), 0x8A9136AAu);
+  bytes.assign(32, '\xff');
+  EXPECT_EQ(Crc32c(bytes), 0x62A8AB43u);
+  for (int i = 0; i < 32; ++i) bytes[i] = static_cast<char>(i);
+  EXPECT_EQ(Crc32c(bytes), 0x46DD794Eu);
+  for (int i = 0; i < 32; ++i) bytes[i] = static_cast<char>(31 - i);
+  EXPECT_EQ(Crc32c(bytes), 0x113FDB5Cu);
+}
+
+TEST(Crc32cTest, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  std::string buffer(8 + 100, '\0');
+  uint32_t x = 0x9E3779B9u;
+  for (char& c : buffer) {
+    x = x * 1664525u + 1013904223u;
+    c = static_cast<char>(x >> 24);
+  }
+  const auto* base = reinterpret_cast<const unsigned char*>(buffer.data());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 100; ++len) {
+      EXPECT_EQ(Crc32c(base + offset, len),
+                BitwiseCrc32c(base + offset, len, 0))
+          << "offset " << offset << " length " << len;
+      EXPECT_EQ(Crc32c(base + offset, len, 0xDEADBEEFu),
+                BitwiseCrc32c(base + offset, len, 0xDEADBEEFu))
+          << "seeded, offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, ChainedSeedEqualsOneShot) {
+  std::string bytes(1000, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>(i * 7 + 3);
+  }
+  const uint32_t whole = Crc32c(bytes);
+  for (size_t split : {0, 1, 7, 8, 9, 500, 993, 1000}) {
+    const std::string_view v(bytes);
+    EXPECT_EQ(Crc32c(v.substr(split), Crc32c(v.substr(0, split))), whole)
+        << "split at " << split;
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "common/retry.h"
 #include "core/summarize.h"
 #include "datasets/scenario.h"
+#include "store/artifact_cache.h"
 #include "store/container.h"
 
 namespace ssum {
@@ -58,6 +59,65 @@ TEST(PosixEnvTest, MissingFileIsNotFound) {
   auto exists = env->FileExists(dir + "/nope");
   ASSERT_TRUE(exists.ok());
   EXPECT_FALSE(*exists);
+}
+
+TEST(PosixEnvTest, ReadFileContract) {
+  Env* env = Env::Default();
+  const std::string dir = MakeTestDir("read_contract");
+
+  auto missing = env->ReadFile(dir + "/absent");
+  EXPECT_TRUE(missing.status().IsNotFound()) << missing.status().ToString();
+
+  ASSERT_TRUE(AtomicWriteFile(env, dir + "/empty", "").ok());
+  auto empty = env->ReadFile(dir + "/empty");
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(*empty, "");
+
+  auto directory = env->ReadFile(dir);
+  EXPECT_TRUE(directory.status().IsIoError())
+      << directory.status().ToString();
+
+  // Larger than any single read(2) the kernel is likely to satisfy, and not
+  // a multiple of a page, with every byte value present.
+  std::string big(3 * 1024 * 1024 + 17, '\0');
+  uint32_t x = 12345;
+  for (char& c : big) {
+    x = x * 1103515245u + 12345u;
+    c = static_cast<char>(x >> 16);
+  }
+  ASSERT_TRUE(AtomicWriteFile(env, dir + "/big", big).ok());
+  auto read = env->ReadFile(dir + "/big");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read->size(), big.size());
+  EXPECT_TRUE(*read == big);
+}
+
+TEST(FaultEnvTest, ReadFaultIsACountedCacheMiss) {
+  FaultInjectingEnv env(Env::Default());
+  RetryPolicy policy;
+  policy.sleeper = [](uint64_t) {};
+  ArtifactCache cache(MakeTestDir("read_fault_cache"), &env, policy);
+  const Fingerprint key{0x1234};
+  ASSERT_TRUE(cache
+                  .StoreMatrix(ArtifactCache::kAffinityFamily, key,
+                               SquareMatrix(3, 0.5))
+                  .ok());
+  ASSERT_TRUE(env.LoadSchedule("read#1=eio").ok());  // permanent
+
+  EXPECT_FALSE(
+      cache.LoadMatrix(ArtifactCache::kAffinityFamily, key, 3).has_value());
+  const CacheCounters c = cache.session_counters();
+  EXPECT_EQ(c.misses, 1u);
+  EXPECT_EQ(c.hits, 0u);
+  // An unreadable file says nothing about its bytes: not corrupt, and it
+  // stays in place.
+  EXPECT_EQ(c.corrupt, 0u);
+  EXPECT_EQ(c.quarantined, 0u);
+  EXPECT_EQ(env.faults_injected(), policy.max_attempts);
+  auto exists = env.FileExists(cache.dir() + "/affinity-" + key.ToHex() +
+                               ".ssb");
+  ASSERT_TRUE(exists.ok());
+  EXPECT_TRUE(*exists);
 }
 
 TEST(PosixEnvTest, RenameReplacesAndSyncDirWorks) {

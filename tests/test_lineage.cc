@@ -250,6 +250,38 @@ TEST(LineageTest, TamperedDeltaIsQuarantinedAndHeals) {
   EXPECT_EQ(hit->annotations, child);
 }
 
+TEST(LineageTest, FlippedMiddleLinkIsOneCorruptQuarantinedMiss) {
+  Fixture f;
+  ArtifactCache cache(MakeCacheDir("flipped_link"));
+  Annotations v0 = f.MakeAnnotations();
+  Annotations v1 = f.Bump(v0, 3);
+  Annotations v2 = f.Bump(v1, 5);
+  Fingerprint k0{0x90}, k1{0x91}, k2{0x92};
+  ASSERT_TRUE(cache.StoreAnnotations(k0, v0).ok());
+  ASSERT_TRUE(cache.StoreAnnotationsDelta(k1, k0, f.Delta(v0, v1)).ok());
+  ASSERT_TRUE(cache.StoreAnnotationsDelta(k2, k1, f.Delta(v1, v2)).ok());
+  const std::string path =
+      ContainerPath(cache, ArtifactCache::kDeltaFamily, k1);
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  std::string bad = *bytes;
+  bad[bad.size() - kContainerTrailerSize - 20] ^= 0x01;  // a delta payload
+  ASSERT_TRUE(AtomicWriteFile(path, bad).ok());
+
+  // k2 has no full snapshot (miss), its link is read (hit), k1 has no full
+  // snapshot (miss), and k1's flipped link is the one corrupt miss.
+  EXPECT_FALSE(cache.LoadAnnotationsLineage(f.schema, k2).has_value());
+  const CacheCounters c = cache.session_counters();
+  EXPECT_EQ(c.hits, 1u);
+  EXPECT_EQ(c.misses, 3u);
+  EXPECT_EQ(c.corrupt, 1u);
+  EXPECT_EQ(c.quarantined, 1u);
+  EXPECT_EQ(c.mismatch, 0u);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_TRUE(std::filesystem::exists(
+      ContainerPath(cache, ArtifactCache::kDeltaFamily, k2)));
+}
+
 TEST(LineageTest, CorruptParentDegradesToACleanMiss) {
   Fixture f;
   ArtifactCache cache(MakeCacheDir("badparent"));

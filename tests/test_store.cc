@@ -3,9 +3,11 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "common/env.h"
+#include "common/hash.h"
 #include "common/retry.h"
 #include "core/summarize.h"
 #include "instance/data_tree.h"
@@ -292,6 +294,109 @@ TEST(CodecTest, SummarySurvivesArbitraryCorruption) {
   ExpectEveryFlipFails(good, [&f](const std::string& bytes) {
     return DecodeSummary(f.schema, bytes).status();
   });
+}
+
+// ---------------------------------------------------------------------------
+// Golden bytes: the exact containers the version-1 encoders wrote when the
+// format was pinned. Any encoder rewrite must reproduce them byte for byte,
+// or caches written by older builds stop being hits.
+// ---------------------------------------------------------------------------
+
+std::string Hex(std::string_view bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(digits[c >> 4]);
+    out.push_back(digits[c & 0xf]);
+  }
+  return out;
+}
+
+TEST(GoldenContainerTest, SquareMatrixBytes) {
+  SquareMatrix m(3, 0.0);
+  m.Set(0, 0, 1.0);
+  m.Set(0, 1, -0.0);
+  m.Set(0, 2, std::numeric_limits<double>::denorm_min());
+  m.Set(1, 0, 0.1);
+  m.Set(1, 1, 1.0);
+  m.Set(1, 2, -2.5e-310);  // another subnormal, negative
+  m.Set(2, 0, 12345.678);
+  m.Set(2, 1, std::numeric_limits<double>::infinity());
+  m.Set(2, 2, 1.0);
+  EXPECT_EQ(Hex(EncodeSquareMatrix(m)),
+            "5353554d42494e1a010000000200000001000000d707634e0100000050000000"
+            "000000000300000000000000000000000000f03f000000000000008001000000"
+            "000000009a9999999999b93f000000000000f03f6c3f9a5c052e00805839b4c8"
+            "d61cc840000000000000f07f000000000000f03f21f7c4ba8400000000000000"
+            "4333d3d0");
+}
+
+TEST(GoldenContainerTest, LargeSquareMatrixDigest) {
+  // Big enough that every CRC and copy runs its bulk path, not only a tail.
+  const size_t n = 67;
+  SquareMatrix m(n, 0.0);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < n; ++c) {
+      m.Set(r, c, static_cast<double>(r * 131 + c) / 977.0 - 3.0);
+    }
+  }
+  const std::string bytes = EncodeSquareMatrix(m);
+  EXPECT_EQ(bytes.size(), 24u + 16u + 8u + 8u * n * n + 12u);
+  EXPECT_EQ(HashToHex(HashBytes(bytes)), "f2dea89b726fea89");
+}
+
+TEST(GoldenContainerTest, AnnotationsBytes) {
+  Fixture f;
+  Annotations ann(f.schema);
+  for (size_t e = 0; e < f.schema.size(); ++e) {
+    ann.set_card(static_cast<ElementId>(e), 1 + 7 * e);
+  }
+  for (size_t l = 0; l < f.schema.structural_links().size(); ++l) {
+    ann.set_structural_count(static_cast<LinkId>(l), (uint64_t{1} << 40) + l);
+  }
+  ann.set_value_count(f.bids, 4);
+  EXPECT_EQ(Hex(EncodeAnnotations(ann)),
+            "5353554d42494e1a0100000001000000030000003fa3402a0100000038000000"
+            "000000000600000000000000010000000000000008000000000000000f000000"
+            "0000000016000000000000001d0000000000000024000000000000000a8cce79"
+            "0200000030000000000000000500000000000000000000000001000001000000"
+            "00010000020000000001000003000000000100000400000000010000cebfc2ce"
+            "0300000010000000000000000100000000000000040000000000000079156191"
+            "cc0000000000000023d101de");
+}
+
+TEST(GoldenContainerTest, AnnotationDeltaBytes) {
+  AnnotationDelta delta;
+  delta.parent_fingerprint = 0x0123456789abcdefull;
+  delta.child_fingerprint = 0xfedcba9876543210ull;
+  delta.d_card = {0, -1, 2, -3, 4, 0};
+  delta.d_slink = {5, 0, -6, 0, 7};
+  delta.d_vlink = {-8};
+  delta.dirty_units = 3;
+  delta.total_units = 12;
+  EXPECT_EQ(Hex(EncodeAnnotationDelta(Fingerprint{0x5555aaaa5555aaaaull},
+                                      delta)),
+
+            "5353554d42494e1a010000000600000004000000f11e19c90100000028000000"
+            "00000000aaaa5555aaaa5555efcdab89674523011032547698badcfe03000000"
+            "000000000c00000000000000c9bea27602000000380000000000000006000000"
+            "000000000000000000000000ffffffffffffffff0200000000000000fdffffff"
+            "ffffffff04000000000000000000000000000000d248b0090300000030000000"
+            "00000000050000000000000005000000000000000000000000000000faffffff"
+            "ffffffff00000000000000000700000000000000b9133a7a0400000010000000"
+            "000000000100000000000000f8ffffffffffffff5d6b6a8e0401000000000000"
+            "cbc5d07a");
+}
+
+TEST(GoldenContainerTest, SummaryBytes) {
+  SchemaSummary summary;
+  summary.abstract_elements = {2, 5};
+  summary.representative = {0, 2, 2, 2, 5, 5};
+  EXPECT_EQ(Hex(EncodeSummary(summary)),
+            "5353554d42494e1a010000000300000002000000c9f37d650100000010000000"
+            "0000000002000000000000000200000005000000e2969b970200000020000000"
+            "0000000006000000000000000000000002000000020000000200000005000000"
+            "05000000069a91247400000000000000c87537b0");
 }
 
 // ---------------------------------------------------------------------------
