@@ -130,6 +130,27 @@ TEST(RngTest, Deterministic) {
   EXPECT_NE(a.Next(), c.Next());
 }
 
+// Known answers: the first draws of every primitive the dataset generators
+// use. Generated instances, and every digest and pin derived from them,
+// depend on these exact values.
+TEST(RngTest, KnownAnswerDraws) {
+  Rng rng(42);
+  EXPECT_EQ(rng.Next(), 1546998764402558742u);
+  EXPECT_EQ(rng.Next(), 6990951692964543102u);
+  EXPECT_EQ(rng.NextDouble(), 0x1.5c2ea66473c93p-1);
+  EXPECT_FALSE(rng.NextBool(0.5));
+  EXPECT_FALSE(rng.NextBool(0.95));
+  EXPECT_EQ(rng.NextPoisson(2.0), 6u);
+  EXPECT_EQ(rng.NextPoisson(2.0), 4u);
+  EXPECT_EQ(rng.NextPoisson(50.0), 49u);
+  EXPECT_EQ(rng.NextPoisson(50.0), 55u);
+  Rng child = rng.Fork(7);
+  EXPECT_EQ(child.Next(), 18428897338498010158u);
+  EXPECT_EQ(rng.Next(), 8046402334248741309u);
+  Rng defaulted;
+  EXPECT_EQ(defaulted.Next(), 6138619454429799919u);
+}
+
 TEST(RngTest, BoundedStaysInRange) {
   Rng rng(3);
   for (int i = 0; i < 1000; ++i) {
