@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
                    ann.status().ToString().c_str());
       return 1;
     }
-    CountingVisitor counter;
+    CountingSink counter;
     (void)stream->Accept(&counter);
     auto context = SummarizerContext::Make(ds.schema(), *ann).ValueOrDie();
     auto sel = SelectBalanced(context, 10);

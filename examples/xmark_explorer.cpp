@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
                  ann.status().ToString().c_str());
     return 1;
   }
-  CountingVisitor counter;
+  CountingSink counter;
   (void)stream->Accept(&counter);
   std::printf("database: %llu data nodes, %llu reference instances\n\n",
               static_cast<unsigned long long>(counter.nodes()),

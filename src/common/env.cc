@@ -329,9 +329,8 @@ Result<std::string> ReadToEnd(int fd, const std::string& path) {
   return bytes;
 }
 
-}  // namespace
-
-Result<std::string> PosixEnv::ReadFile(const std::string& path) {
+/// Opens `path` read-only: NotFound when absent, IoError otherwise.
+Result<int> OpenForRead(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     if (errno == ENOENT) {
@@ -340,7 +339,50 @@ Result<std::string> PosixEnv::ReadFile(const std::string& path) {
     return Status::IoError("cannot open '" + path + "': " +
                            std::strerror(errno));
   }
+  return fd;
+}
+
+/// Reads until `max_bytes` or end of file.
+Result<std::string> ReadUpTo(int fd, const std::string& path,
+                             size_t max_bytes) {
+  std::string bytes(max_bytes, '\0');
+  size_t filled = 0;
+  while (filled < max_bytes) {
+    const ssize_t got = ::read(fd, bytes.data() + filled, max_bytes - filled);
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError("read failed for '" + path + "': " +
+                             std::strerror(errno));
+    }
+    if (got == 0) break;
+    filled += static_cast<size_t>(got);
+  }
+  bytes.resize(filled);
+  return bytes;
+}
+
+}  // namespace
+
+Result<std::string> Env::ReadFilePrefix(const std::string& path,
+                                        size_t max_bytes) {
+  Result<std::string> bytes = ReadFile(path);
+  if (bytes.ok() && bytes->size() > max_bytes) bytes->resize(max_bytes);
+  return bytes;
+}
+
+Result<std::string> PosixEnv::ReadFile(const std::string& path) {
+  int fd;
+  SSUM_ASSIGN_OR_RETURN(fd, OpenForRead(path));
   Result<std::string> bytes = ReadToEnd(fd, path);
+  ::close(fd);
+  return bytes;
+}
+
+Result<std::string> PosixEnv::ReadFilePrefix(const std::string& path,
+                                             size_t max_bytes) {
+  int fd;
+  SSUM_ASSIGN_OR_RETURN(fd, OpenForRead(path));
+  Result<std::string> bytes = ReadUpTo(fd, path, max_bytes);
   ::close(fd);
   return bytes;
 }
@@ -724,6 +766,13 @@ Result<std::string> FaultInjectingEnv::ReadFile(const std::string& path) {
   const Injection inj = Observe(FaultOp::kRead);
   if (inj.fire) return FaultStatus(inj.kind, FaultOp::kRead, path);
   return base_->ReadFile(path);
+}
+
+Result<std::string> FaultInjectingEnv::ReadFilePrefix(const std::string& path,
+                                                      size_t max_bytes) {
+  const Injection inj = Observe(FaultOp::kRead);
+  if (inj.fire) return FaultStatus(inj.kind, FaultOp::kRead, path);
+  return base_->ReadFilePrefix(path, max_bytes);
 }
 
 Status FaultInjectingEnv::RenameFile(const std::string& from,

@@ -106,6 +106,13 @@ class Env {
   /// anything else.
   virtual Result<std::string> ReadFile(const std::string& path) = 0;
 
+  /// Reads the first min(max_bytes, file size) bytes — a header peek that
+  /// does not pay for the whole file. Errors as ReadFile. Default
+  /// implementation: ReadFile, truncated (correct for any Env, just not
+  /// cheaper).
+  virtual Result<std::string> ReadFilePrefix(const std::string& path,
+                                             size_t max_bytes);
+
   /// Atomically replaces `to` with `from` (POSIX rename semantics).
   virtual Status RenameFile(const std::string& from,
                             const std::string& to) = 0;
@@ -151,6 +158,8 @@ class PosixEnv : public Env {
   Result<std::unique_ptr<WritableFile>> NewWritableFile(
       const std::string& path) override;
   Result<std::string> ReadFile(const std::string& path) override;
+  Result<std::string> ReadFilePrefix(const std::string& path,
+                                     size_t max_bytes) override;
   Status RenameFile(const std::string& from, const std::string& to) override;
   Status RemoveFile(const std::string& path) override;
   Status CreateDirs(const std::string& path) override;
@@ -239,6 +248,9 @@ class FaultInjectingEnv : public Env {
   Result<std::unique_ptr<WritableFile>> NewWritableFile(
       const std::string& path) override;
   Result<std::string> ReadFile(const std::string& path) override;
+  /// Observed as a kRead, like ReadFile.
+  Result<std::string> ReadFilePrefix(const std::string& path,
+                                     size_t max_bytes) override;
   Status RenameFile(const std::string& from, const std::string& to) override;
   Status RemoveFile(const std::string& path) override;
   Status CreateDirs(const std::string& path) override;

@@ -2,40 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
 
 namespace ssum {
-
-namespace {
-
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
-
-Rng::Rng(uint64_t seed) {
-  uint64_t sm = seed;
-  for (auto& s : s_) s = SplitMix64(&sm);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
 
 uint64_t Rng::NextBounded(uint64_t bound) {
   SSUM_CHECK(bound > 0, "NextBounded requires bound > 0");
@@ -53,18 +24,35 @@ int64_t Rng::NextInRange(int64_t lo, int64_t hi) {
   return lo + static_cast<int64_t>(NextBounded(span));
 }
 
-double Rng::NextDouble() {
-  // 53 high bits -> uniform double in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+namespace {
+
+/// exp(-mean), remembered per thread for the last few means. The generators
+/// draw from a handful of fixed means millions of times, and the exp call
+/// cost more than the draws; the value returned is the same std::exp
+/// result, so every draw is unchanged.
+double ExpOfMinus(double mean) {
+  struct Slot {
+    double mean = -1.0;  // never a valid key: callers pass mean > 0
+    double value = 0.0;
+  };
+  static thread_local Slot slots[64];
+  uint64_t bits;
+  std::memcpy(&bits, &mean, sizeof(bits));
+  Slot& slot = slots[(bits * 0x9e3779b97f4a7c15ULL) >> 58];
+  if (slot.mean != mean) {
+    slot.mean = mean;
+    slot.value = std::exp(-mean);
+  }
+  return slot.value;
 }
 
-bool Rng::NextBool(double p) { return NextDouble() < p; }
+}  // namespace
 
 uint64_t Rng::NextPoisson(double mean) {
   if (mean <= 0) return 0;
   if (mean < 30.0) {
     // Knuth inversion.
-    double l = std::exp(-mean);
+    double l = ExpOfMinus(mean);
     uint64_t k = 0;
     double p = 1.0;
     do {
@@ -93,12 +81,6 @@ size_t Rng::NextWeighted(const std::vector<double>& weights) {
     if (r < acc) return i;
   }
   return weights.size() - 1;
-}
-
-Rng Rng::Fork(uint64_t stream_id) {
-  // Mix the child stream id into fresh state derived from this generator.
-  uint64_t base = Next() ^ (stream_id * 0x9e3779b97f4a7c15ULL);
-  return Rng(base);
 }
 
 ZipfTable::ZipfTable(size_t n, double s) {

@@ -279,12 +279,6 @@ class MimiStream : public InstanceStream, public ShardedInstanceSource {
 
   const SchemaGraph& schema() const override { return ds_->schema(); }
 
-  Status Accept(InstanceVisitor* v) const override {
-    return WalkContainers(v, /*with_units=*/true);
-  }
-
-  // --- ShardedInstanceSource ----------------------------------------------
-
   uint64_t NumUnits() const override {
     auto c = ds_->CountsFor(ds_->params_.version);
     if (!c.ok()) return 0;  // AcceptSkeleton reports the error
@@ -293,30 +287,28 @@ class MimiStream : public InstanceStream, public ShardedInstanceSource {
     return total;
   }
 
-  Status AcceptSkeleton(InstanceVisitor* v) const override {
-    return WalkContainers(v, /*with_units=*/false);
+ private:
+  Status Emit(EventWriter* out) const override {
+    return WalkContainers(out, /*with_units=*/true);
   }
 
-  Status AcceptUnits(uint64_t begin, uint64_t end,
-                     InstanceVisitor* v) const override {
-    SSUM_RETURN_NOT_OK(ValidateUnitRange(begin, end, NumUnits()));
+  Status EmitSkeleton(EventWriter* out) const override {
+    return WalkContainers(out, /*with_units=*/false);
+  }
+
+  Status EmitUnits(uint64_t begin, uint64_t end,
+                   EventWriter* out) const override {
     MimiDataset::Counts c;
     SSUM_ASSIGN_OR_RETURN(c, ds_->CountsFor(ds_->params_.version));
     uint64_t base = 0;
     for (int s = 0; s < kNumSections && begin < end; ++s) {
       const uint64_t section_end = base + SectionCount(c, s);
       for (; begin < end && begin < section_end; ++begin) {
-        EmitUnit(v, c, s, begin - base);
+        EmitUnit(out, c, s, begin - base);
       }
       base = section_end;
     }
     return Status::OK();
-  }
-
- private:
-  static void Leaf(InstanceVisitor* v, ElementId e) {
-    v->OnEnter(e);
-    v->OnLeave(e);
   }
 
   ElementId Container(int s) const {
@@ -362,315 +354,315 @@ class MimiStream : public InstanceStream, public ShardedInstanceSource {
         .Fork((static_cast<uint64_t>(section) << 48) | index);
   }
 
-  void EmitUnit(InstanceVisitor* v, const MimiDataset::Counts& c, int section,
+  void EmitUnit(EventWriter* out, const MimiDataset::Counts& c, int section,
                 uint64_t index) const {
     Rng rng = UnitRng(section, index);
     switch (section) {
       case kOrganisms:
-        EmitOrganism(v, &rng);
+        EmitOrganism(out, &rng);
         break;
       case kSources:
-        EmitSource(v);
+        EmitSource(out);
         break;
       case kMolecules:
-        EmitMolecule(v, &rng, c);
+        EmitMolecule(out, &rng, c);
         break;
       case kInteractions:
-        EmitInteraction(v, &rng);
+        EmitInteraction(out, &rng);
         break;
       case kExperiments:
-        EmitExperiment(v, &rng);
+        EmitExperiment(out, &rng);
         break;
       case kPublications:
-        EmitPublication(v, &rng);
+        EmitPublication(out, &rng);
         break;
       case kPathways:
-        EmitPathway(v, &rng);
+        EmitPathway(out, &rng);
         break;
       case kDomains:
-        EmitDomain(v, &rng);
+        EmitDomain(out, &rng);
         break;
     }
   }
 
-  Status WalkContainers(InstanceVisitor* v, bool with_units) const {
+  Status WalkContainers(EventWriter* out, bool with_units) const {
     MimiDataset::Counts c;
     SSUM_ASSIGN_OR_RETURN(c, ds_->CountsFor(ds_->params_.version));
-    v->OnEnter(schema().root());
+    out->Enter(schema().root());
     for (int s = 0; s < kNumSections; ++s) {
-      v->OnEnter(Container(s));
+      out->Enter(Container(s));
       if (with_units) {
         const uint64_t n = SectionCount(c, s);
-        for (uint64_t i = 0; i < n; ++i) EmitUnit(v, c, s, i);
+        for (uint64_t i = 0; i < n; ++i) EmitUnit(out, c, s, i);
       }
-      v->OnLeave(Container(s));
+      out->Leave(Container(s));
     }
-    v->OnLeave(schema().root());
+    out->Leave(schema().root());
     return Status::OK();
   }
 
-  void EmitOrganism(InstanceVisitor* v, Rng* rng) const {
+  void EmitOrganism(EventWriter* out, Rng* rng) const {
     const MimiDataset& d = *ds_;
-    v->OnEnter(d.organism_);
-    Leaf(v, d.org_id_);
-    Leaf(v, d.org_name_);
-    if (rng->NextBool(0.5)) Leaf(v, d.org_common_);
-    if (rng->NextBool(0.4)) Leaf(v, d.strain_);
-    v->OnEnter(d.taxonomy_);
-    Leaf(v, d.kingdom_);
-    Leaf(v, d.phylum_);
-    Leaf(v, d.tax_class_);
-    Leaf(v, d.tax_order_);
-    Leaf(v, d.family_);
-    Leaf(v, d.genus_);
-    Leaf(v, d.species_);
-    v->OnLeave(d.taxonomy_);
+    out->Enter(d.organism_);
+    out->Leaf(d.org_id_);
+    out->Leaf(d.org_name_);
+    if (rng->NextBool(0.5)) out->Leaf(d.org_common_);
+    if (rng->NextBool(0.4)) out->Leaf(d.strain_);
+    out->Enter(d.taxonomy_);
+    out->Leaf(d.kingdom_);
+    out->Leaf(d.phylum_);
+    out->Leaf(d.tax_class_);
+    out->Leaf(d.tax_order_);
+    out->Leaf(d.family_);
+    out->Leaf(d.genus_);
+    out->Leaf(d.species_);
+    out->Leave(d.taxonomy_);
     if (rng->NextBool(0.3)) {
-      v->OnEnter(d.genome_);
-      Leaf(v, d.assembly_);
-      Leaf(v, d.genome_size_);
-      Leaf(v, d.gene_count_);
-      v->OnLeave(d.genome_);
+      out->Enter(d.genome_);
+      out->Leaf(d.assembly_);
+      out->Leaf(d.genome_size_);
+      out->Leaf(d.gene_count_);
+      out->Leave(d.genome_);
     }
-    v->OnLeave(d.organism_);
+    out->Leave(d.organism_);
   }
 
-  void EmitSource(InstanceVisitor* v) const {
+  void EmitSource(EventWriter* out) const {
     const MimiDataset& d = *ds_;
-    v->OnEnter(d.source_);
-    Leaf(v, d.src_id_);
-    Leaf(v, d.src_name_);
-    Leaf(v, d.src_version_);
-    Leaf(v, d.src_url_);
-    Leaf(v, d.src_imported_);
-    Leaf(v, d.src_records_);
-    Leaf(v, d.src_contact_);
-    Leaf(v, d.src_license_);
-    Leaf(v, d.src_citation_);
-    v->OnLeave(d.source_);
+    out->Enter(d.source_);
+    out->Leaf(d.src_id_);
+    out->Leaf(d.src_name_);
+    out->Leaf(d.src_version_);
+    out->Leaf(d.src_url_);
+    out->Leaf(d.src_imported_);
+    out->Leaf(d.src_records_);
+    out->Leaf(d.src_contact_);
+    out->Leaf(d.src_license_);
+    out->Leaf(d.src_citation_);
+    out->Leave(d.source_);
   }
 
-  void EmitExperiment(InstanceVisitor* v, Rng* rng) const {
+  void EmitExperiment(EventWriter* out, Rng* rng) const {
     const MimiDataset& d = *ds_;
-    v->OnEnter(d.experiment_);
-    Leaf(v, d.exp_id_);
-    if (rng->NextBool(0.7)) Leaf(v, d.exp_type_);
-    Leaf(v, d.exp_desc_);
-    v->OnEnter(d.exp_method_);
-    Leaf(v, d.exp_method_name_);
-    if (rng->NextBool(0.6)) Leaf(v, d.exp_ontology_);
-    v->OnLeave(d.exp_method_);
+    out->Enter(d.experiment_);
+    out->Leaf(d.exp_id_);
+    if (rng->NextBool(0.7)) out->Leaf(d.exp_type_);
+    out->Leaf(d.exp_desc_);
+    out->Enter(d.exp_method_);
+    out->Leaf(d.exp_method_name_);
+    if (rng->NextBool(0.6)) out->Leaf(d.exp_ontology_);
+    out->Leave(d.exp_method_);
     if (rng->NextBool(0.05)) {  // sparse structured conditions
-      v->OnEnter(d.conditions_);
-      Leaf(v, d.temperature_);
-      Leaf(v, d.ph_);
-      Leaf(v, d.buffer_);
-      v->OnLeave(d.conditions_);
+      out->Enter(d.conditions_);
+      out->Leaf(d.temperature_);
+      out->Leaf(d.ph_);
+      out->Leaf(d.buffer_);
+      out->Leave(d.conditions_);
     }
-    v->OnReference(d.l_publication_ref_);
-    Leaf(v, d.publication_ref_);
-    v->OnReference(d.l_host_organism_);
-    Leaf(v, d.host_organism_ref_);
-    v->OnLeave(d.experiment_);
+    out->Reference(d.l_publication_ref_);
+    out->Leaf(d.publication_ref_);
+    out->Reference(d.l_host_organism_);
+    out->Leaf(d.host_organism_ref_);
+    out->Leave(d.experiment_);
   }
 
-  void EmitPublication(InstanceVisitor* v, Rng* rng) const {
+  void EmitPublication(EventWriter* out, Rng* rng) const {
     const MimiDataset& d = *ds_;
-    v->OnEnter(d.publication_);
-    Leaf(v, d.pub_pubmed_);
-    Leaf(v, d.pub_title_);
-    Leaf(v, d.pub_journal_);
-    Leaf(v, d.pub_year_);
-    if (rng->NextBool(0.8)) Leaf(v, d.pub_volume_);
-    if (rng->NextBool(0.8)) Leaf(v, d.pub_pages_);
-    if (rng->NextBool(0.6)) Leaf(v, d.pub_abstract_);
-    if (rng->NextBool(0.5)) Leaf(v, d.pub_doi_);
-    if (rng->NextBool(0.7)) Leaf(v, d.pub_issue_);
-    v->OnEnter(d.authors_);
+    out->Enter(d.publication_);
+    out->Leaf(d.pub_pubmed_);
+    out->Leaf(d.pub_title_);
+    out->Leaf(d.pub_journal_);
+    out->Leaf(d.pub_year_);
+    if (rng->NextBool(0.8)) out->Leaf(d.pub_volume_);
+    if (rng->NextBool(0.8)) out->Leaf(d.pub_pages_);
+    if (rng->NextBool(0.6)) out->Leaf(d.pub_abstract_);
+    if (rng->NextBool(0.5)) out->Leaf(d.pub_doi_);
+    if (rng->NextBool(0.7)) out->Leaf(d.pub_issue_);
+    out->Enter(d.authors_);
     for (uint64_t a = 0, m = 1 + rng->NextPoisson(2.0); a < m; ++a) {
-      Leaf(v, d.author_);
+      out->Leaf(d.author_);
     }
-    v->OnLeave(d.authors_);
-    v->OnLeave(d.publication_);
+    out->Leave(d.authors_);
+    out->Leave(d.publication_);
   }
 
-  void EmitPathway(InstanceVisitor* v, Rng* rng) const {
+  void EmitPathway(EventWriter* out, Rng* rng) const {
     const MimiDataset& d = *ds_;
-    v->OnEnter(d.pathway_);
-    Leaf(v, d.path_id_);
-    Leaf(v, d.path_name_);
-    if (rng->NextBool(0.7)) Leaf(v, d.path_category_);
-    if (rng->NextBool(0.5)) Leaf(v, d.path_desc_);
-    v->OnReference(d.l_path_source_);
-    Leaf(v, d.path_source_ref_);
+    out->Enter(d.pathway_);
+    out->Leaf(d.path_id_);
+    out->Leaf(d.path_name_);
+    if (rng->NextBool(0.7)) out->Leaf(d.path_category_);
+    if (rng->NextBool(0.5)) out->Leaf(d.path_desc_);
+    out->Reference(d.l_path_source_);
+    out->Leaf(d.path_source_ref_);
     for (uint64_t m = 0, k = rng->NextPoisson(8.0); m < k; ++m) {
-      v->OnReference(d.l_path_member_);
-      Leaf(v, d.member_ref_);
+      out->Reference(d.l_path_member_);
+      out->Leaf(d.member_ref_);
     }
-    v->OnLeave(d.pathway_);
+    out->Leave(d.pathway_);
   }
 
-  void EmitDomain(InstanceVisitor* v, Rng* rng) const {
+  void EmitDomain(EventWriter* out, Rng* rng) const {
     const MimiDataset& d = *ds_;
-    v->OnEnter(d.domain_);
-    Leaf(v, d.dom_id_);
-    Leaf(v, d.dom_name_);
-    Leaf(v, d.dom_family_);
-    Leaf(v, d.dom_desc_);
-    Leaf(v, d.dom_length_);
-    if (rng->NextBool(0.8)) Leaf(v, d.dom_interpro_);
-    v->OnReference(d.l_dom_source_);
-    Leaf(v, d.dom_source_ref_);
-    v->OnLeave(d.domain_);
+    out->Enter(d.domain_);
+    out->Leaf(d.dom_id_);
+    out->Leaf(d.dom_name_);
+    out->Leaf(d.dom_family_);
+    out->Leaf(d.dom_desc_);
+    out->Leaf(d.dom_length_);
+    if (rng->NextBool(0.8)) out->Leaf(d.dom_interpro_);
+    out->Reference(d.l_dom_source_);
+    out->Leaf(d.dom_source_ref_);
+    out->Leave(d.domain_);
   }
 
-  void EmitMolecule(InstanceVisitor* v, Rng* rng,
+  void EmitMolecule(EventWriter* out, Rng* rng,
                     const MimiDataset::Counts& c) const {
     const MimiDataset& d = *ds_;
-    v->OnEnter(d.molecule_);
-    Leaf(v, d.mol_id_);
-    Leaf(v, d.mol_type_);
-    Leaf(v, d.mol_name_);
-    if (rng->NextBool(0.8)) Leaf(v, d.symbol_);
-    if (rng->NextBool(0.6)) Leaf(v, d.mol_desc_);
-    Leaf(v, d.created_);
-    if (rng->NextBool(0.7)) Leaf(v, d.modified_);
-    v->OnReference(d.l_organism_ref_);
-    Leaf(v, d.organism_ref_);
+    out->Enter(d.molecule_);
+    out->Leaf(d.mol_id_);
+    out->Leaf(d.mol_type_);
+    out->Leaf(d.mol_name_);
+    if (rng->NextBool(0.8)) out->Leaf(d.symbol_);
+    if (rng->NextBool(0.6)) out->Leaf(d.mol_desc_);
+    out->Leaf(d.created_);
+    if (rng->NextBool(0.7)) out->Leaf(d.modified_);
+    out->Reference(d.l_organism_ref_);
+    out->Leaf(d.organism_ref_);
     if (rng->NextBool(0.9)) {
-      v->OnEnter(d.sequence_);
-      Leaf(v, d.seq_length_);
-      Leaf(v, d.seq_checksum_);
-      Leaf(v, d.seq_residues_);
-      if (rng->NextBool(0.4)) Leaf(v, d.seq_form_);
-      v->OnLeave(d.sequence_);
+      out->Enter(d.sequence_);
+      out->Leaf(d.seq_length_);
+      out->Leaf(d.seq_checksum_);
+      out->Leaf(d.seq_residues_);
+      if (rng->NextBool(0.4)) out->Leaf(d.seq_form_);
+      out->Leave(d.sequence_);
     }
     if (rng->NextBool(0.7)) {
-      v->OnEnter(d.gene_);
-      Leaf(v, d.locus_);
-      Leaf(v, d.chromosome_);
-      Leaf(v, d.gene_start_);
-      Leaf(v, d.gene_end_);
-      Leaf(v, d.strand_);
-      if (rng->NextBool(0.3)) Leaf(v, d.map_location_);
-      v->OnLeave(d.gene_);
+      out->Enter(d.gene_);
+      out->Leaf(d.locus_);
+      out->Leaf(d.chromosome_);
+      out->Leaf(d.gene_start_);
+      out->Leaf(d.gene_end_);
+      out->Leaf(d.strand_);
+      if (rng->NextBool(0.3)) out->Leaf(d.map_location_);
+      out->Leave(d.gene_);
     }
     if (rng->NextBool(0.6)) {
-      v->OnEnter(d.protein_props_);
-      Leaf(v, d.mol_weight_);
-      Leaf(v, d.iso_point_);
-      Leaf(v, d.prop_length_);
-      v->OnLeave(d.protein_props_);
+      out->Enter(d.protein_props_);
+      out->Leaf(d.mol_weight_);
+      out->Leaf(d.iso_point_);
+      out->Leaf(d.prop_length_);
+      out->Leave(d.protein_props_);
     }
     if (rng->NextBool(0.03)) {  // sparse solved structures
-      v->OnEnter(d.structure_);
-      Leaf(v, d.pdb_id_);
-      Leaf(v, d.resolution_);
-      Leaf(v, d.struct_method_);
-      Leaf(v, d.chains_);
-      Leaf(v, d.deposited_);
-      v->OnLeave(d.structure_);
+      out->Enter(d.structure_);
+      out->Leaf(d.pdb_id_);
+      out->Leaf(d.resolution_);
+      out->Leaf(d.struct_method_);
+      out->Leaf(d.chains_);
+      out->Leaf(d.deposited_);
+      out->Leave(d.structure_);
     }
     for (uint64_t i = 0, m = rng->NextPoisson(1.5); i < m; ++i) {
-      v->OnReference(d.l_external_);
-      Leaf(v, d.external_accession_);
+      out->Reference(d.l_external_);
+      out->Leaf(d.external_accession_);
     }
-    v->OnEnter(d.synonyms_);
+    out->Enter(d.synonyms_);
     for (uint64_t i = 0, m = rng->NextPoisson(1.2); i < m; ++i)
-      Leaf(v, d.synonym_);
-    v->OnLeave(d.synonyms_);
-    v->OnEnter(d.keywords_);
+      out->Leaf(d.synonym_);
+    out->Leave(d.synonyms_);
+    out->Enter(d.keywords_);
     for (uint64_t i = 0, m = rng->NextPoisson(1.5); i < m; ++i)
-      Leaf(v, d.keyword_);
-    v->OnLeave(d.keywords_);
-    v->OnEnter(d.cellular_locations_);
+      out->Leaf(d.keyword_);
+    out->Leave(d.keywords_);
+    out->Enter(d.cellular_locations_);
     for (uint64_t i = 0, m = rng->NextPoisson(0.8); i < m; ++i)
-      Leaf(v, d.cellular_location_);
-    v->OnLeave(d.cellular_locations_);
-    v->OnEnter(d.tissue_expressions_);
+      out->Leaf(d.cellular_location_);
+    out->Leave(d.cellular_locations_);
+    out->Enter(d.tissue_expressions_);
     for (uint64_t i = 0, m = rng->NextPoisson(0.5); i < m; ++i) {
-      v->OnEnter(d.tissue_expression_);
-      Leaf(v, d.tissue_);
-      Leaf(v, d.level_);
-      v->OnLeave(d.tissue_expression_);
+      out->Enter(d.tissue_expression_);
+      out->Leaf(d.tissue_);
+      out->Leaf(d.level_);
+      out->Leave(d.tissue_expression_);
     }
-    v->OnLeave(d.tissue_expressions_);
-    v->OnEnter(d.annotations_);
+    out->Leave(d.tissue_expressions_);
+    out->Enter(d.annotations_);
     for (uint64_t i = 0, m = rng->NextPoisson(c.go_per_molecule); i < m; ++i) {
-      v->OnEnter(d.go_annotation_);
-      Leaf(v, d.go_id_);
-      Leaf(v, d.go_aspect_);
-      Leaf(v, d.go_evidence_);
-      Leaf(v, d.go_term_);
-      v->OnLeave(d.go_annotation_);
+      out->Enter(d.go_annotation_);
+      out->Leaf(d.go_id_);
+      out->Leaf(d.go_aspect_);
+      out->Leaf(d.go_evidence_);
+      out->Leaf(d.go_term_);
+      out->Leave(d.go_annotation_);
     }
     for (uint64_t i = 0, m = rng->NextPoisson(0.4); i < m; ++i) {
-      v->OnReference(d.l_pathway_ref_);
-      Leaf(v, d.pathway_ref_);
+      out->Reference(d.l_pathway_ref_);
+      out->Leaf(d.pathway_ref_);
     }
     for (uint64_t i = 0, m = rng->NextPoisson(0.3); i < m; ++i)
-      Leaf(v, d.function_note_);
-    v->OnLeave(d.annotations_);
+      out->Leaf(d.function_note_);
+    out->Leave(d.annotations_);
     for (uint64_t i = 0, m = rng->NextPoisson(c.domains_per_molecule); i < m;
          ++i) {
-      v->OnEnter(d.domain_hit_);
-      v->OnReference(d.l_domain_hit_);
-      Leaf(v, d.dh_domain_);
-      Leaf(v, d.dh_start_);
-      Leaf(v, d.dh_end_);
-      Leaf(v, d.dh_score_);
-      v->OnLeave(d.domain_hit_);
+      out->Enter(d.domain_hit_);
+      out->Reference(d.l_domain_hit_);
+      out->Leaf(d.dh_domain_);
+      out->Leaf(d.dh_start_);
+      out->Leaf(d.dh_end_);
+      out->Leaf(d.dh_score_);
+      out->Leave(d.domain_hit_);
     }
     for (uint64_t i = 0,
                   m = rng->NextPoisson(c.interaction_refs_per_molecule);
          i < m; ++i) {
-      v->OnReference(d.l_interaction_ref_);
-      Leaf(v, d.interaction_ref_);
+      out->Reference(d.l_interaction_ref_);
+      out->Leaf(d.interaction_ref_);
     }
-    v->OnLeave(d.molecule_);
+    out->Leave(d.molecule_);
   }
 
-  void EmitInteraction(InstanceVisitor* v, Rng* rng) const {
+  void EmitInteraction(EventWriter* out, Rng* rng) const {
     const MimiDataset& d = *ds_;
-    v->OnEnter(d.interaction_);
-    Leaf(v, d.int_id_);
-    Leaf(v, d.int_type_);
-    v->OnReference(d.l_participant_a_);
-    Leaf(v, d.participant_a_);
-    v->OnReference(d.l_participant_b_);
-    Leaf(v, d.participant_b_);
+    out->Enter(d.interaction_);
+    out->Leaf(d.int_id_);
+    out->Leaf(d.int_type_);
+    out->Reference(d.l_participant_a_);
+    out->Leaf(d.participant_a_);
+    out->Reference(d.l_participant_b_);
+    out->Leaf(d.participant_b_);
     for (uint64_t i = 0, m = 1 + rng->NextPoisson(0.9); i < m; ++i) {
-      v->OnReference(d.l_experiment_ref_);
-      Leaf(v, d.experiment_ref_);
+      out->Reference(d.l_experiment_ref_);
+      out->Leaf(d.experiment_ref_);
     }
-    v->OnEnter(d.confidence_);
-    Leaf(v, d.conf_score_);
-    Leaf(v, d.conf_method_);
-    v->OnLeave(d.confidence_);
+    out->Enter(d.confidence_);
+    out->Leaf(d.conf_score_);
+    out->Leaf(d.conf_method_);
+    out->Leave(d.confidence_);
     if (rng->NextBool(0.7)) {
-      v->OnEnter(d.detection_);
-      Leaf(v, d.det_method_);
-      Leaf(v, d.det_class_);
-      v->OnLeave(d.detection_);
+      out->Enter(d.detection_);
+      out->Leaf(d.det_method_);
+      out->Leaf(d.det_class_);
+      out->Leave(d.detection_);
     }
     if (rng->NextBool(0.02)) {  // sparse kinetics measurements
-      v->OnEnter(d.kinetics_);
-      Leaf(v, d.kd_);
-      Leaf(v, d.kon_);
-      Leaf(v, d.koff_);
-      Leaf(v, d.kin_unit_);
-      v->OnLeave(d.kinetics_);
+      out->Enter(d.kinetics_);
+      out->Leaf(d.kd_);
+      out->Leaf(d.kon_);
+      out->Leaf(d.koff_);
+      out->Leaf(d.kin_unit_);
+      out->Leave(d.kinetics_);
     }
     for (uint64_t i = 0, m = rng->NextPoisson(0.3); i < m; ++i) {
-      v->OnEnter(d.binding_site_);
-      Leaf(v, d.site_start_);
-      Leaf(v, d.site_end_);
-      if (rng->NextBool(0.5)) Leaf(v, d.site_motif_);
-      v->OnLeave(d.binding_site_);
+      out->Enter(d.binding_site_);
+      out->Leaf(d.site_start_);
+      out->Leaf(d.site_end_);
+      if (rng->NextBool(0.5)) out->Leaf(d.site_motif_);
+      out->Leave(d.binding_site_);
     }
-    v->OnReference(d.l_provenance_);
-    Leaf(v, d.provenance_source_);
-    v->OnLeave(d.interaction_);
+    out->Reference(d.l_provenance_);
+    out->Leaf(d.provenance_source_);
+    out->Leave(d.interaction_);
   }
 
   const MimiDataset* ds_;

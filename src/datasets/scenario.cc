@@ -510,41 +510,39 @@ class ScenarioStream : public InstanceStream, public ShardedInstanceSource {
 
   const SchemaGraph& schema() const override { return ds_->schema(); }
 
-  Status Accept(InstanceVisitor* v) const override {
-    v->OnEnter(schema().root());
-    SSUM_RETURN_NOT_OK(EmitRange(0, NumUnits(), v));
-    v->OnLeave(schema().root());
-    return Status::OK();
-  }
-
   uint64_t NumUnits() const override { return ds_->NumUnits(); }
 
-  Status AcceptSkeleton(InstanceVisitor* v) const override {
-    v->OnEnter(schema().root());
-    v->OnLeave(schema().root());
+ private:
+  Status Emit(EventWriter* out) const override {
+    out->Enter(schema().root());
+    SSUM_RETURN_NOT_OK(EmitRange(0, NumUnits(), out));
+    out->Leave(schema().root());
     return Status::OK();
   }
 
-  Status AcceptUnits(uint64_t begin, uint64_t end,
-                     InstanceVisitor* v) const override {
-    SSUM_RETURN_NOT_OK(ValidateUnitRange(begin, end, NumUnits()));
-    return EmitRange(begin, end, v);
+  Status EmitSkeleton(EventWriter* out) const override {
+    out->Leaf(schema().root());
+    return Status::OK();
   }
 
- private:
-  Status EmitRange(uint64_t begin, uint64_t end, InstanceVisitor* v) const {
+  Status EmitUnits(uint64_t begin, uint64_t end,
+                   EventWriter* out) const override {
+    return EmitRange(begin, end, out);
+  }
+
+  Status EmitRange(uint64_t begin, uint64_t end, EventWriter* out) const {
     const auto& base = ds_->class_base_;
     // First class whose range contains `begin`.
     size_t c = static_cast<size_t>(
         std::upper_bound(base.begin(), base.end(), begin) - base.begin() - 1);
     for (uint64_t u = begin; u < end; ++u) {
       while (u >= base[c + 1]) ++c;
-      EmitUnit(u, ds_->class_roots_[c], v);
+      EmitUnit(u, ds_->class_roots_[c], out);
     }
     return Status::OK();
   }
 
-  void EmitUnit(uint64_t unit, ElementId entity, InstanceVisitor* v) const {
+  void EmitUnit(uint64_t unit, ElementId entity, EventWriter* out) const {
     const ScenarioSpec& spec = ds_->spec();
     Rng rng = Rng(spec.seed).Fork((kUnitStream << 48) | unit);
     // Zipf mode heavy-tails the unit's set counts: a few huge entities,
@@ -555,24 +553,28 @@ class ScenarioStream : public InstanceStream, public ShardedInstanceSource {
     }
     set_mean *= MutateUnitMultiplier(spec, unit);
     uint64_t budget = spec.max_unit_nodes;
-    EmitElement(entity, set_mean, &rng, &budget, v);
+    EmitElement(entity, set_mean, &rng, &budget, out);
   }
 
   void EmitElement(ElementId e, double set_mean, Rng* rng, uint64_t* budget,
-                   InstanceVisitor* v) const {
+                   EventWriter* out) const {
     if (*budget == 0) return;
     --*budget;
-    v->OnEnter(e);
-    for (LinkId l : ds_->vlinks_of_[e]) {
-      if (rng->NextBool(ds_->spec().reference_prob)) v->OnReference(l);
-    }
     const SchemaGraph& g = ds_->schema();
-    const ElementType& type = g.type(e);
     const auto& children = g.children(e);
+    if (children.empty() && ds_->vlinks_of_[e].empty()) {
+      out->Leaf(e);  // draws nothing, exactly like the general path below
+      return;
+    }
+    out->Enter(e);
+    for (LinkId l : ds_->vlinks_of_[e]) {
+      if (rng->NextBool(ds_->spec().reference_prob)) out->Reference(l);
+    }
+    const ElementType& type = g.type(e);
     if (type.kind == TypeKind::kChoice && !children.empty()) {
       // Exactly one branch per choice instance (instance/conformance.h).
       EmitElement(children[rng->NextBounded(children.size())], set_mean, rng,
-                  budget, v);
+                  budget, out);
     } else if (type.kind == TypeKind::kRcd) {
       for (ElementId child : children) {
         uint64_t count = g.type(child).set_of
@@ -582,11 +584,11 @@ class ScenarioStream : public InstanceStream, public ShardedInstanceSource {
         // identical whether or not this leaf is suppressed.
         if (ds_->mutate_suppressed_[child] != 0) count = 0;
         for (uint64_t i = 0; i < count; ++i) {
-          EmitElement(child, set_mean, rng, budget, v);
+          EmitElement(child, set_mean, rng, budget, out);
         }
       }
     }
-    v->OnLeave(e);
+    out->Leave(e);
   }
 
   const ScenarioDataset* ds_;

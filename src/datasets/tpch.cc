@@ -185,18 +185,6 @@ class TpchStream : public InstanceStream, public ShardedInstanceSource {
 
   const SchemaGraph& schema() const override { return ds_->schema(); }
 
-  Status Accept(InstanceVisitor* v) const override {
-    v->OnEnter(schema().root());
-    for (size_t t = 0; t < ds_->catalog().tables().size(); ++t) {
-      const uint64_t rows = *ds_->RowsOf(t);
-      for (uint64_t r = 0; r < rows; ++r) EmitRow(v, t);
-    }
-    v->OnLeave(schema().root());
-    return Status::OK();
-  }
-
-  // --- ShardedInstanceSource ----------------------------------------------
-
   uint64_t NumUnits() const override {
     uint64_t rows = 0;
     for (size_t t = 0; t < ds_->catalog().tables().size(); ++t) {
@@ -205,38 +193,42 @@ class TpchStream : public InstanceStream, public ShardedInstanceSource {
     return rows;
   }
 
-  Status AcceptSkeleton(InstanceVisitor* v) const override {
-    v->OnEnter(schema().root());
-    v->OnLeave(schema().root());
+ private:
+  Status Emit(EventWriter* out) const override {
+    out->Enter(schema().root());
+    for (size_t t = 0; t < ds_->catalog().tables().size(); ++t) {
+      const uint64_t rows = *ds_->RowsOf(t);
+      for (uint64_t r = 0; r < rows; ++r) EmitRow(out, t);
+    }
+    out->Leave(schema().root());
     return Status::OK();
   }
 
-  Status AcceptUnits(uint64_t begin, uint64_t end,
-                     InstanceVisitor* v) const override {
-    SSUM_RETURN_NOT_OK(ValidateUnitRange(begin, end, NumUnits()));
+  Status EmitSkeleton(EventWriter* out) const override {
+    out->Leaf(schema().root());
+    return Status::OK();
+  }
+
+  Status EmitUnits(uint64_t begin, uint64_t end,
+                   EventWriter* out) const override {
     uint64_t base = 0;
     for (size_t t = 0; t < ds_->catalog().tables().size() && begin < end; ++t) {
       const uint64_t table_end = base + *ds_->RowsOf(t);
-      for (; begin < end && begin < table_end; ++begin) EmitRow(v, t);
+      for (; begin < end && begin < table_end; ++begin) EmitRow(out, t);
       base = table_end;
     }
     return Status::OK();
   }
 
- private:
-  void EmitRow(InstanceVisitor* v, size_t t) const {
+  void EmitRow(EventWriter* out, size_t t) const {
     const RelationalSchemaMapping& m = ds_->mapping();
     const TableDef& def = ds_->catalog().tables()[t];
-    v->OnEnter(m.table_elements[t]);
+    out->Enter(m.table_elements[t]);
     for (size_t f = 0; f < def.foreign_keys.size(); ++f) {
-      v->OnReference(m.fk_links[t][f]);
+      out->Reference(m.fk_links[t][f]);
     }
-    for (size_t c = 0; c < def.columns.size(); ++c) {
-      ElementId col = m.column_elements[t][c];
-      v->OnEnter(col);
-      v->OnLeave(col);
-    }
-    v->OnLeave(m.table_elements[t]);
+    for (ElementId col : m.column_elements[t]) out->Leaf(col);
+    out->Leave(m.table_elements[t]);
   }
 
   const TpchDataset* ds_;

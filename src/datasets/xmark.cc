@@ -225,40 +225,32 @@ class XMarkStream : public InstanceStream, public ShardedInstanceSource {
 
   const SchemaGraph& schema() const override { return ds_->schema(); }
 
-  Status Accept(InstanceVisitor* v) const override {
-    return WalkContainers(v, /*with_units=*/true);
-  }
-
-  // --- ShardedInstanceSource ----------------------------------------------
-
   uint64_t NumUnits() const override {
     uint64_t total = 0;
     for (int s = 0; s < kNumSections; ++s) total += SectionCount(s);
     return total;
   }
 
-  Status AcceptSkeleton(InstanceVisitor* v) const override {
-    return WalkContainers(v, /*with_units=*/false);
+ private:
+  Status Emit(EventWriter* out) const override {
+    return WalkContainers(out, /*with_units=*/true);
   }
 
-  Status AcceptUnits(uint64_t begin, uint64_t end,
-                     InstanceVisitor* v) const override {
-    SSUM_RETURN_NOT_OK(ValidateUnitRange(begin, end, NumUnits()));
+  Status EmitSkeleton(EventWriter* out) const override {
+    return WalkContainers(out, /*with_units=*/false);
+  }
+
+  Status EmitUnits(uint64_t begin, uint64_t end,
+                   EventWriter* out) const override {
     uint64_t base = 0;
     for (int s = 0; s < kNumSections && begin < end; ++s) {
       const uint64_t section_end = base + SectionCount(s);
       for (; begin < end && begin < section_end; ++begin) {
-        EmitUnit(v, s, begin - base);
+        EmitUnit(out, s, begin - base);
       }
       base = section_end;
     }
     return Status::OK();
-  }
-
- private:
-  static void Leaf(InstanceVisitor* v, ElementId e) {
-    v->OnEnter(e);
-    v->OnLeave(e);
   }
 
   uint64_t SectionCount(int s) const {
@@ -290,70 +282,70 @@ class XMarkStream : public InstanceStream, public ShardedInstanceSource {
         .Fork((static_cast<uint64_t>(section) << 48) | index);
   }
 
-  void EmitUnit(InstanceVisitor* v, int section, uint64_t index) const {
+  void EmitUnit(EventWriter* out, int section, uint64_t index) const {
     Rng rng = UnitRng(section, index);
     if (section < 6) {
-      EmitItem(v, &rng, static_cast<size_t>(section));
+      EmitItem(out, &rng, static_cast<size_t>(section));
       return;
     }
     switch (section) {
       case kCategories:
-        EmitCategory(v, &rng);
+        EmitCategory(out, &rng);
         break;
       case kCatgraph:
-        EmitEdge(v);
+        EmitEdge(out);
         break;
       case kPeople:
-        EmitPerson(v, &rng);
+        EmitPerson(out, &rng);
         break;
       case kOpenAuctions:
-        EmitOpenAuction(v, &rng);
+        EmitOpenAuction(out, &rng);
         break;
       case kClosedAuctions:
-        EmitClosedAuction(v, &rng);
+        EmitClosedAuction(out, &rng);
         break;
     }
   }
 
-  void EmitSectionUnits(InstanceVisitor* v, int section) const {
+  void EmitSectionUnits(EventWriter* out, int section) const {
     const uint64_t n = SectionCount(section);
-    for (uint64_t i = 0; i < n; ++i) EmitUnit(v, section, i);
+    for (uint64_t i = 0; i < n; ++i) EmitUnit(out, section, i);
   }
 
-  Status WalkContainers(InstanceVisitor* v, bool with_units) const {
+  Status WalkContainers(EventWriter* out, bool with_units) const {
     auto section = [&](ElementId container, int s) {
-      v->OnEnter(container);
-      if (with_units) EmitSectionUnits(v, s);
-      v->OnLeave(container);
+      out->Enter(container);
+      if (with_units) EmitSectionUnits(out, s);
+      out->Leave(container);
     };
-    v->OnEnter(schema().root());
-    v->OnEnter(ds_->regions_);
+    out->Enter(schema().root());
+    out->Enter(ds_->regions_);
     for (size_t r = 0; r < 6; ++r) section(ds_->region_[r], static_cast<int>(r));
-    v->OnLeave(ds_->regions_);
+    out->Leave(ds_->regions_);
     section(ds_->categories_, kCategories);
     section(ds_->catgraph_, kCatgraph);
     section(ds_->people_, kPeople);
     section(ds_->open_auctions_, kOpenAuctions);
     section(ds_->closed_auctions_, kClosedAuctions);
-    v->OnLeave(schema().root());
+    out->Leave(schema().root());
     return Status::OK();
   }
 
-  void EmitCategory(InstanceVisitor* v, Rng* rng) const {
-    v->OnEnter(ds_->category_);
-    Leaf(v, ds_->category_id_);
-    Leaf(v, ds_->category_name_);
-    EmitDescription(v, rng, ds_->category_desc_);
-    v->OnLeave(ds_->category_);
+  void EmitCategory(EventWriter* out, Rng* rng) const {
+    out->Enter(ds_->category_);
+    out->Leaf(ds_->category_id_);
+    out->Leaf(ds_->category_name_);
+    EmitDescription(out, rng, ds_->category_desc_);
+    out->Leave(ds_->category_);
   }
 
-  void EmitEdge(InstanceVisitor* v) const {
-    v->OnEnter(ds_->edge_);
-    v->OnReference(ds_->l_edge_from_);
-    v->OnReference(ds_->l_edge_to_);
-    Leaf(v, ds_->edge_from_);
-    Leaf(v, ds_->edge_to_);
-    v->OnLeave(ds_->edge_);
+  void EmitEdge(EventWriter* out) const {
+    out->Enter(ds_->edge_);
+    out->Reference(ds_->l_edge_from_);
+    out->Reference(ds_->l_edge_to_);
+    out->Leaf(ds_->edge_from_);
+    out->Leaf(ds_->edge_to_);
+    out->Leave(ds_->edge_);
   }
 
   /// Picks the region an item reference points to, weighted by item counts.
@@ -369,193 +361,193 @@ class XMarkStream : public InstanceStream, public ShardedInstanceSource {
     return 5;
   }
 
-  void EmitText(InstanceVisitor* v, Rng* rng, ElementId text, ElementId bold,
+  void EmitText(EventWriter* out, Rng* rng, ElementId text, ElementId bold,
                 ElementId keyword, ElementId emph) const {
     const XMarkParams& p = ds_->params_;
-    v->OnEnter(text);
+    out->Enter(text);
     for (uint64_t i = 0, n = rng->NextPoisson(p.markup_mean); i < n; ++i)
-      Leaf(v, bold);
+      out->Leaf(bold);
     for (uint64_t i = 0, n = rng->NextPoisson(p.markup_mean); i < n; ++i)
-      Leaf(v, keyword);
+      out->Leaf(keyword);
     for (uint64_t i = 0, n = rng->NextPoisson(p.markup_mean); i < n; ++i)
-      Leaf(v, emph);
-    v->OnLeave(text);
+      out->Leaf(emph);
+    out->Leave(text);
   }
 
-  void EmitDescription(InstanceVisitor* v, Rng* rng,
+  void EmitDescription(EventWriter* out, Rng* rng,
                        const XMarkDataset::DescriptionIds& d) const {
     const XMarkParams& p = ds_->params_;
-    v->OnEnter(d.description);
+    out->Enter(d.description);
     if (rng->NextBool(p.prob_parlist)) {
-      v->OnEnter(d.parlist);
+      out->Enter(d.parlist);
       uint64_t items = 1 + rng->NextPoisson(p.listitem_mean - 1.0);
       for (uint64_t i = 0; i < items; ++i) {
-        v->OnEnter(d.listitem);
-        EmitText(v, rng, d.li_text, d.li_bold, d.li_keyword, d.li_emph);
-        v->OnLeave(d.listitem);
+        out->Enter(d.listitem);
+        EmitText(out, rng, d.li_text, d.li_bold, d.li_keyword, d.li_emph);
+        out->Leave(d.listitem);
       }
-      v->OnLeave(d.parlist);
+      out->Leave(d.parlist);
     } else {
-      EmitText(v, rng, d.text, d.bold, d.keyword, d.emph);
+      EmitText(out, rng, d.text, d.bold, d.keyword, d.emph);
     }
-    v->OnLeave(d.description);
+    out->Leave(d.description);
   }
 
-  void EmitAnnotation(InstanceVisitor* v, Rng* rng,
+  void EmitAnnotation(EventWriter* out, Rng* rng,
                       const XMarkDataset::AnnotationIds& a,
                       LinkId author_link) const {
-    v->OnEnter(a.annotation);
-    v->OnEnter(a.author);
-    v->OnReference(author_link);
-    Leaf(v, a.author_person);
-    v->OnLeave(a.author);
-    EmitDescription(v, rng, a.desc);
-    Leaf(v, a.happiness);
-    v->OnLeave(a.annotation);
+    out->Enter(a.annotation);
+    out->Enter(a.author);
+    out->Reference(author_link);
+    out->Leaf(a.author_person);
+    out->Leave(a.author);
+    EmitDescription(out, rng, a.desc);
+    out->Leaf(a.happiness);
+    out->Leave(a.annotation);
   }
 
-  void EmitItem(InstanceVisitor* v, Rng* rng, size_t r) const {
+  void EmitItem(EventWriter* out, Rng* rng, size_t r) const {
     const XMarkParams& p = ds_->params_;
     const XMarkDataset::ItemIds& it = ds_->item_[r];
-    v->OnEnter(it.item);
-    Leaf(v, it.id);
-    if (rng->NextBool(0.1)) Leaf(v, it.featured);
-    Leaf(v, it.location);
-    Leaf(v, it.quantity);
-    Leaf(v, it.name);
-    Leaf(v, it.payment);
+    out->Enter(it.item);
+    out->Leaf(it.id);
+    if (rng->NextBool(0.1)) out->Leaf(it.featured);
+    out->Leaf(it.location);
+    out->Leaf(it.quantity);
+    out->Leaf(it.name);
+    out->Leaf(it.payment);
     XMarkDataset::DescriptionIds d{it.description, it.text,    it.bold,
                                    it.keyword,     it.emph,    it.parlist,
                                    it.listitem,    it.li_text, it.li_bold,
                                    it.li_keyword,  it.li_emph};
-    EmitDescription(v, rng, d);
-    Leaf(v, it.shipping);
+    EmitDescription(out, rng, d);
+    out->Leaf(it.shipping);
     uint64_t cats = 1 + rng->NextPoisson(p.incategory_mean - 1.0);
     for (uint64_t c = 0; c < cats; ++c) {
-      v->OnEnter(it.incategory);
-      v->OnReference(ds_->l_incategory_[r]);
-      Leaf(v, it.incategory_category);
-      v->OnLeave(it.incategory);
+      out->Enter(it.incategory);
+      out->Reference(ds_->l_incategory_[r]);
+      out->Leaf(it.incategory_category);
+      out->Leave(it.incategory);
     }
-    v->OnEnter(it.mailbox);
+    out->Enter(it.mailbox);
     for (uint64_t m = 0, n = rng->NextPoisson(p.mail_mean); m < n; ++m) {
-      v->OnEnter(it.mail);
-      Leaf(v, it.mail_from);
-      Leaf(v, it.mail_to);
-      Leaf(v, it.mail_date);
-      EmitText(v, rng, it.mail_text, it.mail_bold, it.mail_keyword,
+      out->Enter(it.mail);
+      out->Leaf(it.mail_from);
+      out->Leaf(it.mail_to);
+      out->Leaf(it.mail_date);
+      EmitText(out, rng, it.mail_text, it.mail_bold, it.mail_keyword,
                it.mail_emph);
-      v->OnLeave(it.mail);
+      out->Leave(it.mail);
     }
-    v->OnLeave(it.mailbox);
-    v->OnLeave(it.item);
+    out->Leave(it.mailbox);
+    out->Leave(it.item);
   }
 
-  void EmitPerson(InstanceVisitor* v, Rng* rng) const {
+  void EmitPerson(EventWriter* out, Rng* rng) const {
     const XMarkParams& p = ds_->params_;
-    v->OnEnter(ds_->person_);
-    Leaf(v, ds_->person_id_);
-    Leaf(v, ds_->person_name_);
-    Leaf(v, ds_->emailaddress_);
-    if (rng->NextBool(p.prob_phone)) Leaf(v, ds_->phone_);
+    out->Enter(ds_->person_);
+    out->Leaf(ds_->person_id_);
+    out->Leaf(ds_->person_name_);
+    out->Leaf(ds_->emailaddress_);
+    if (rng->NextBool(p.prob_phone)) out->Leaf(ds_->phone_);
     if (rng->NextBool(p.prob_address)) {
-      v->OnEnter(ds_->address_);
-      Leaf(v, ds_->street_);
-      Leaf(v, ds_->city_);
-      Leaf(v, ds_->country_);
-      if (rng->NextBool(0.5)) Leaf(v, ds_->province_);
-      Leaf(v, ds_->zipcode_);
-      v->OnLeave(ds_->address_);
+      out->Enter(ds_->address_);
+      out->Leaf(ds_->street_);
+      out->Leaf(ds_->city_);
+      out->Leaf(ds_->country_);
+      if (rng->NextBool(0.5)) out->Leaf(ds_->province_);
+      out->Leaf(ds_->zipcode_);
+      out->Leave(ds_->address_);
     }
-    if (rng->NextBool(p.prob_homepage)) Leaf(v, ds_->homepage_);
-    if (rng->NextBool(p.prob_creditcard)) Leaf(v, ds_->creditcard_);
+    if (rng->NextBool(p.prob_homepage)) out->Leaf(ds_->homepage_);
+    if (rng->NextBool(p.prob_creditcard)) out->Leaf(ds_->creditcard_);
     if (rng->NextBool(p.prob_profile)) {
-      v->OnEnter(ds_->profile_);
-      Leaf(v, ds_->income_);
+      out->Enter(ds_->profile_);
+      out->Leaf(ds_->income_);
       for (uint64_t i = 0, n = rng->NextPoisson(p.interest_mean); i < n; ++i) {
-        v->OnEnter(ds_->interest_);
-        v->OnReference(ds_->l_interest_);
-        Leaf(v, ds_->interest_category_);
-        v->OnLeave(ds_->interest_);
+        out->Enter(ds_->interest_);
+        out->Reference(ds_->l_interest_);
+        out->Leaf(ds_->interest_category_);
+        out->Leave(ds_->interest_);
       }
-      if (rng->NextBool(p.prob_education)) Leaf(v, ds_->education_);
-      if (rng->NextBool(p.prob_gender)) Leaf(v, ds_->gender_);
-      Leaf(v, ds_->business_);
-      if (rng->NextBool(p.prob_age)) Leaf(v, ds_->age_);
-      v->OnLeave(ds_->profile_);
+      if (rng->NextBool(p.prob_education)) out->Leaf(ds_->education_);
+      if (rng->NextBool(p.prob_gender)) out->Leaf(ds_->gender_);
+      out->Leaf(ds_->business_);
+      if (rng->NextBool(p.prob_age)) out->Leaf(ds_->age_);
+      out->Leave(ds_->profile_);
     }
-    v->OnEnter(ds_->watches_);
+    out->Enter(ds_->watches_);
     for (uint64_t i = 0, n = rng->NextPoisson(p.watches_mean); i < n; ++i) {
-      v->OnEnter(ds_->watch_);
-      v->OnReference(ds_->l_watch_);
-      Leaf(v, ds_->watch_auction_);
-      v->OnLeave(ds_->watch_);
+      out->Enter(ds_->watch_);
+      out->Reference(ds_->l_watch_);
+      out->Leaf(ds_->watch_auction_);
+      out->Leave(ds_->watch_);
     }
-    v->OnLeave(ds_->watches_);
-    v->OnLeave(ds_->person_);
+    out->Leave(ds_->watches_);
+    out->Leave(ds_->person_);
   }
 
-  void EmitOpenAuction(InstanceVisitor* v, Rng* rng) const {
+  void EmitOpenAuction(EventWriter* out, Rng* rng) const {
     const XMarkParams& p = ds_->params_;
-    v->OnEnter(ds_->open_auction_);
-    Leaf(v, ds_->oa_id_);
-    Leaf(v, ds_->initial_);
-    if (rng->NextBool(p.prob_reserve)) Leaf(v, ds_->reserve_);
+    out->Enter(ds_->open_auction_);
+    out->Leaf(ds_->oa_id_);
+    out->Leaf(ds_->initial_);
+    if (rng->NextBool(p.prob_reserve)) out->Leaf(ds_->reserve_);
     uint64_t bidders = rng->NextPoisson(p.bidders_mean);
     for (uint64_t i = 0; i < bidders; ++i) {
-      v->OnEnter(ds_->bidder_);
-      v->OnReference(ds_->l_bidder_person_);
-      Leaf(v, ds_->bidder_person_attr_);
-      Leaf(v, ds_->bid_date_);
-      Leaf(v, ds_->bid_time_);
-      Leaf(v, ds_->increase_);
-      v->OnLeave(ds_->bidder_);
+      out->Enter(ds_->bidder_);
+      out->Reference(ds_->l_bidder_person_);
+      out->Leaf(ds_->bidder_person_attr_);
+      out->Leaf(ds_->bid_date_);
+      out->Leaf(ds_->bid_time_);
+      out->Leaf(ds_->increase_);
+      out->Leave(ds_->bidder_);
     }
-    Leaf(v, ds_->current_);
-    if (rng->NextBool(p.prob_privacy)) Leaf(v, ds_->privacy_);
-    v->OnEnter(ds_->oa_itemref_);
-    v->OnReference(ds_->l_oa_itemref_[PickRegion(rng)]);
-    Leaf(v, ds_->oa_itemref_item_);
-    v->OnLeave(ds_->oa_itemref_);
-    v->OnEnter(ds_->seller_);
-    v->OnReference(ds_->l_seller_person_);
-    Leaf(v, ds_->seller_person_);
-    v->OnLeave(ds_->seller_);
+    out->Leaf(ds_->current_);
+    if (rng->NextBool(p.prob_privacy)) out->Leaf(ds_->privacy_);
+    out->Enter(ds_->oa_itemref_);
+    out->Reference(ds_->l_oa_itemref_[PickRegion(rng)]);
+    out->Leaf(ds_->oa_itemref_item_);
+    out->Leave(ds_->oa_itemref_);
+    out->Enter(ds_->seller_);
+    out->Reference(ds_->l_seller_person_);
+    out->Leaf(ds_->seller_person_);
+    out->Leave(ds_->seller_);
     if (rng->NextBool(p.prob_annotation)) {
-      EmitAnnotation(v, rng, ds_->oa_annotation_, ds_->l_author_oa_);
+      EmitAnnotation(out, rng, ds_->oa_annotation_, ds_->l_author_oa_);
     }
-    Leaf(v, ds_->oa_quantity_);
-    Leaf(v, ds_->oa_type_);
-    v->OnEnter(ds_->interval_);
-    Leaf(v, ds_->start_);
-    Leaf(v, ds_->end_);
-    v->OnLeave(ds_->interval_);
-    v->OnLeave(ds_->open_auction_);
+    out->Leaf(ds_->oa_quantity_);
+    out->Leaf(ds_->oa_type_);
+    out->Enter(ds_->interval_);
+    out->Leaf(ds_->start_);
+    out->Leaf(ds_->end_);
+    out->Leave(ds_->interval_);
+    out->Leave(ds_->open_auction_);
   }
 
-  void EmitClosedAuction(InstanceVisitor* v, Rng* rng) const {
+  void EmitClosedAuction(EventWriter* out, Rng* rng) const {
     const XMarkParams& p = ds_->params_;
-    v->OnEnter(ds_->closed_auction_);
-    v->OnEnter(ds_->ca_seller_);
-    v->OnReference(ds_->l_ca_seller_);
-    Leaf(v, ds_->ca_seller_person_);
-    v->OnLeave(ds_->ca_seller_);
-    v->OnEnter(ds_->ca_buyer_);
-    v->OnReference(ds_->l_ca_buyer_);
-    Leaf(v, ds_->ca_buyer_person_);
-    v->OnLeave(ds_->ca_buyer_);
-    v->OnEnter(ds_->ca_itemref_);
-    v->OnReference(ds_->l_ca_itemref_[PickRegion(rng)]);
-    Leaf(v, ds_->ca_itemref_item_);
-    v->OnLeave(ds_->ca_itemref_);
-    Leaf(v, ds_->price_);
-    Leaf(v, ds_->ca_date_);
-    Leaf(v, ds_->ca_quantity_);
-    Leaf(v, ds_->ca_type_);
+    out->Enter(ds_->closed_auction_);
+    out->Enter(ds_->ca_seller_);
+    out->Reference(ds_->l_ca_seller_);
+    out->Leaf(ds_->ca_seller_person_);
+    out->Leave(ds_->ca_seller_);
+    out->Enter(ds_->ca_buyer_);
+    out->Reference(ds_->l_ca_buyer_);
+    out->Leaf(ds_->ca_buyer_person_);
+    out->Leave(ds_->ca_buyer_);
+    out->Enter(ds_->ca_itemref_);
+    out->Reference(ds_->l_ca_itemref_[PickRegion(rng)]);
+    out->Leaf(ds_->ca_itemref_item_);
+    out->Leave(ds_->ca_itemref_);
+    out->Leaf(ds_->price_);
+    out->Leaf(ds_->ca_date_);
+    out->Leaf(ds_->ca_quantity_);
+    out->Leaf(ds_->ca_type_);
     if (rng->NextBool(p.prob_annotation)) {
-      EmitAnnotation(v, rng, ds_->ca_annotation_, ds_->l_author_ca_);
+      EmitAnnotation(out, rng, ds_->ca_annotation_, ds_->l_author_ca_);
     }
-    v->OnLeave(ds_->closed_auction_);
+    out->Leave(ds_->closed_auction_);
   }
 
   const XMarkDataset* ds_;

@@ -61,56 +61,53 @@ Status DataTree::AddReference(LinkId vlink, NodeId referrer_node,
   return Status::OK();
 }
 
-void DataTree::WalkSubtree(NodeId start, InstanceVisitor* visitor) const {
+bool DataTree::Open(NodeId node, EventWriter* out) const {
+  if (children_[node].empty() && node_refs_[node].empty()) {
+    out->Leaf(elements_[node]);
+    return false;
+  }
+  out->Enter(elements_[node]);
+  for (uint32_t r : node_refs_[node]) out->Reference(references_[r].vlink);
+  return true;
+}
+
+void DataTree::WalkSubtree(NodeId start, EventWriter* out) const {
   // Iterative depth-first pre-order with explicit leave events.
   struct Frame {
     NodeId node;
     size_t next_child;
   };
   std::vector<Frame> stack;
-  stack.push_back({start, 0});
-  visitor->OnEnter(elements_[start]);
-  for (uint32_t r : node_refs_[start]) {
-    visitor->OnReference(references_[r].vlink);
-  }
+  if (Open(start, out)) stack.push_back({start, 0});
   while (!stack.empty()) {
     Frame& top = stack.back();
     const auto& kids = children_[top.node];
     if (top.next_child < kids.size()) {
       NodeId child = kids[top.next_child++];
-      visitor->OnEnter(elements_[child]);
-      for (uint32_t r : node_refs_[child]) {
-        visitor->OnReference(references_[r].vlink);
-      }
-      stack.push_back({child, 0});
+      if (Open(child, out)) stack.push_back({child, 0});
     } else {
-      visitor->OnLeave(elements_[top.node]);
+      out->Leave(elements_[top.node]);
       stack.pop_back();
     }
   }
 }
 
-Status DataTree::Accept(InstanceVisitor* visitor) const {
-  WalkSubtree(root(), visitor);
+Status DataTree::Emit(EventWriter* out) const {
+  WalkSubtree(root(), out);
   return Status::OK();
 }
 
-Status DataTree::AcceptSkeleton(InstanceVisitor* visitor) const {
-  visitor->OnEnter(elements_[root()]);
-  for (uint32_t r : node_refs_[root()]) {
-    visitor->OnReference(references_[r].vlink);
-  }
-  visitor->OnLeave(elements_[root()]);
+Status DataTree::EmitSkeleton(EventWriter* out) const {
+  out->Enter(elements_[root()]);
+  for (uint32_t r : node_refs_[root()]) out->Reference(references_[r].vlink);
+  out->Leave(elements_[root()]);
   return Status::OK();
 }
 
-Status DataTree::AcceptUnits(uint64_t begin, uint64_t end,
-                             InstanceVisitor* visitor) const {
-  SSUM_RETURN_NOT_OK(ValidateUnitRange(begin, end, NumUnits()));
+Status DataTree::EmitUnits(uint64_t begin, uint64_t end,
+                           EventWriter* out) const {
   const auto& kids = children_[root()];
-  for (uint64_t u = begin; u < end; ++u) {
-    WalkSubtree(kids[u], visitor);
-  }
+  for (uint64_t u = begin; u < end; ++u) WalkSubtree(kids[u], out);
   return Status::OK();
 }
 

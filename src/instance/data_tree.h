@@ -57,20 +57,22 @@ class DataTree : public InstanceStream, public ShardedInstanceSource {
     return node_refs_[n];
   }
 
-  // InstanceStream:
+  // InstanceStream and ShardedInstanceSource:
   const SchemaGraph& schema() const override { return *schema_; }
-  Status Accept(InstanceVisitor* visitor) const override;
-
-  // ShardedInstanceSource:
   uint64_t NumUnits() const override { return children_[root()].size(); }
-  Status AcceptSkeleton(InstanceVisitor* visitor) const override;
-  Status AcceptUnits(uint64_t begin, uint64_t end,
-                     InstanceVisitor* visitor) const override;
 
  private:
+  Status Emit(EventWriter* out) const override;
+  Status EmitSkeleton(EventWriter* out) const override;
+  Status EmitUnits(uint64_t begin, uint64_t end,
+                   EventWriter* out) const override;
+
   /// Emits the complete subtree rooted at `start` (enter, refs, children,
-  /// leave).
-  void WalkSubtree(NodeId start, InstanceVisitor* visitor) const;
+  /// leave; a leaf for a node with neither children nor references).
+  void WalkSubtree(NodeId start, EventWriter* out) const;
+  /// Opens `node`: a leaf event when it has neither children nor references
+  /// (returns false), else its enter and reference events (returns true).
+  bool Open(NodeId node, EventWriter* out) const;
 
   const SchemaGraph* schema_;
   std::vector<ElementId> elements_;

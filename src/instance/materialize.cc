@@ -7,12 +7,39 @@ namespace ssum {
 
 namespace {
 
-class TreeBuilder : public InstanceVisitor {
+/// Replays event blocks as per-node Enter / Leave calls on `Builder`
+/// (references are dropped: neither materialized form records them).
+template <typename Builder>
+void ReplayNodes(Builder* builder, const Event* events, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    const ElementId id = EventIdOf(events[i]);
+    switch (EventTagOf(events[i])) {
+      case EventTag::kEnter:
+        builder->Enter(id);
+        break;
+      case EventTag::kReference:
+        break;
+      case EventTag::kLeaf:
+        builder->Enter(id);
+        builder->Leave();
+        break;
+      case EventTag::kLeave:
+        builder->Leave();
+        break;
+    }
+  }
+}
+
+class TreeBuilder : public EventSink {
  public:
   explicit TreeBuilder(const SchemaGraph& schema)
       : schema_(schema), tree_(&schema) {}
 
-  void OnEnter(ElementId e) override {
+  void Consume(const Event* events, size_t n) override {
+    ReplayNodes(this, events, n);
+  }
+
+  void Enter(ElementId e) {
     if (!status_.ok()) return;
     if (stack_.empty()) {
       if (e != schema_.root()) {
@@ -30,11 +57,7 @@ class TreeBuilder : public InstanceVisitor {
     stack_.push_back(*node);
   }
 
-  void OnReference(LinkId) override {
-    // Dropped by design — see header comment.
-  }
-
-  void OnLeave(ElementId) override {
+  void Leave() {
     if (!status_.ok()) return;
     if (stack_.empty()) {
       status_ = Status::FailedPrecondition("unbalanced leave event");
@@ -58,12 +81,16 @@ class TreeBuilder : public InstanceVisitor {
   Status status_;
 };
 
-class XmlBuilder : public InstanceVisitor {
+class XmlBuilder : public EventSink {
  public:
   XmlBuilder(const SchemaGraph& schema, uint64_t seed)
       : schema_(schema), rng_(seed) {}
 
-  void OnEnter(ElementId e) override {
+  void Consume(const Event* events, size_t n) override {
+    ReplayNodes(this, events, n);
+  }
+
+  void Enter(ElementId e) {
     if (!status_.ok()) return;
     const std::string& label = schema_.label(e);
     if (stack_.empty()) {
@@ -74,7 +101,7 @@ class XmlBuilder : public InstanceVisitor {
     if (!label.empty() && label[0] == '@') {
       stack_.back()->attributes.emplace_back(label.substr(1),
                                              SynthesizeValue(e));
-      stack_.push_back(nullptr);  // matched by OnLeave
+      stack_.push_back(nullptr);  // matched by Leave
       return;
     }
     XmlElement child;
@@ -87,12 +114,10 @@ class XmlBuilder : public InstanceVisitor {
     stack_.push_back(&parent->children.back());
   }
 
-  void OnReference(LinkId) override {
-    // Reference instances are carried by the idref attribute/element values
-    // synthesized above; nothing further to record.
-  }
+  // Reference instances are carried by the idref attribute/element values
+  // synthesized above; nothing further to record.
 
-  void OnLeave(ElementId) override {
+  void Leave() {
     if (!status_.ok()) return;
     if (stack_.empty()) {
       status_ = Status::FailedPrecondition("unbalanced leave event");

@@ -4,6 +4,20 @@
 
 namespace ssum {
 
+namespace {
+
+Status ValidateUnitRange(uint64_t begin, uint64_t end, uint64_t num_units) {
+  if (begin > end || end > num_units) {
+    return Status::InvalidArgument(
+        "AcceptUnits: range [" + std::to_string(begin) + ", " +
+        std::to_string(end) + ") invalid for " + std::to_string(num_units) +
+        " units");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 UnitRange ShardUnitRange(uint64_t num_units, uint64_t shard,
                          uint64_t num_shards) {
   if (num_shards == 0) return {0, num_units};
@@ -17,14 +31,18 @@ UnitRange ShardUnitRange(uint64_t num_units, uint64_t shard,
   return {boundary(shard), boundary(shard + 1)};
 }
 
-Status ValidateUnitRange(uint64_t begin, uint64_t end, uint64_t num_units) {
-  if (begin > end || end > num_units) {
-    return Status::InvalidArgument(
-        "AcceptUnits: range [" + std::to_string(begin) + ", " +
-        std::to_string(end) + ") invalid for " + std::to_string(num_units) +
-        " units");
-  }
-  return Status::OK();
+Status ShardedInstanceSource::AcceptSkeleton(EventSink* sink) const {
+  EventWriter out(sink);
+  SSUM_RETURN_NOT_OK(EmitSkeleton(&out));
+  return out.Finish();
+}
+
+Status ShardedInstanceSource::AcceptUnits(uint64_t begin, uint64_t end,
+                                          EventSink* sink) const {
+  SSUM_RETURN_NOT_OK(ValidateUnitRange(begin, end, NumUnits()));
+  EventWriter out(sink);
+  SSUM_RETURN_NOT_OK(EmitUnits(begin, end, &out));
+  return out.Finish();
 }
 
 }  // namespace ssum

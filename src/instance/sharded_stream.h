@@ -45,17 +45,26 @@ class ShardedInstanceSource {
   /// Number of independently traversable unit subtrees.
   virtual uint64_t NumUnits() const = 0;
 
-  /// Emits the skeleton as a well-formed root-anchored stream: every event
-  /// of the full traversal outside the unit subtrees, exactly once.
-  virtual Status AcceptSkeleton(InstanceVisitor* visitor) const = 0;
+  /// Runs the skeleton into `sink` as a well-formed root-anchored stream:
+  /// every event of the full traversal outside the unit subtrees, exactly
+  /// once.
+  Status AcceptSkeleton(EventSink* sink) const;
 
-  /// Emits the unit subtrees with indices [begin, end) in index order. Each
-  /// unit is a complete enter..leave sequence whose root is a non-root
-  /// schema element; consecutive units need not share a parent. Fails with
-  /// InvalidArgument when end > NumUnits() or begin > end. May be called
-  /// concurrently from multiple threads on disjoint ranges.
-  virtual Status AcceptUnits(uint64_t begin, uint64_t end,
-                             InstanceVisitor* visitor) const = 0;
+  /// Runs the unit subtrees with indices [begin, end) into `sink`, in index
+  /// order. Each unit is a complete enter..leave sequence whose root is a
+  /// non-root schema element; consecutive units need not share a parent.
+  /// Fails with InvalidArgument when end > NumUnits() or begin > end. May be
+  /// called concurrently from multiple threads on disjoint ranges.
+  Status AcceptUnits(uint64_t begin, uint64_t end, EventSink* sink) const;
+
+ protected:
+  /// Writes the skeleton's events.
+  virtual Status EmitSkeleton(EventWriter* out) const = 0;
+
+  /// Writes the events of units [begin, end); the range is already checked
+  /// against NumUnits().
+  virtual Status EmitUnits(uint64_t begin, uint64_t end,
+                           EventWriter* out) const = 0;
 };
 
 /// Half-open unit range of one shard.
@@ -72,8 +81,5 @@ struct UnitRange {
 /// identical for any execution schedule. `shard` must be < num_shards.
 UnitRange ShardUnitRange(uint64_t num_units, uint64_t shard,
                          uint64_t num_shards);
-
-/// Checks an AcceptUnits range against NumUnits(); shared by every source.
-Status ValidateUnitRange(uint64_t begin, uint64_t end, uint64_t num_units);
 
 }  // namespace ssum

@@ -9,25 +9,40 @@ namespace {
 
 /// Hashes one unit's event sequence. Event kinds are tagged so an enter of
 /// element 3 can never alias a reference along link 3, and ids are hashed
-/// fixed-width so adjacent events cannot alias across boundaries.
-class UnitDigestVisitor : public InstanceVisitor {
+/// fixed-width so adjacent events cannot alias across boundaries. A leaf
+/// hashes exactly as its enter + leave pair, so digests persisted before
+/// sources emitted leaves stay valid.
+class UnitDigestSink : public EventSink {
  public:
-  void OnEnter(ElementId e) override {
-    hash_.Update("E", 1);
-    hash_.UpdateU64(e);
-  }
-  void OnReference(LinkId vlink) override {
-    hash_.Update("R", 1);
-    hash_.UpdateU64(vlink);
-  }
-  void OnLeave(ElementId e) override {
-    hash_.Update("L", 1);
-    hash_.UpdateU64(e);
+  void Consume(const Event* events, size_t n) override {
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t id = EventIdOf(events[i]);
+      switch (EventTagOf(events[i])) {
+        case EventTag::kEnter:
+          Hash('E', id);
+          break;
+        case EventTag::kReference:
+          Hash('R', id);
+          break;
+        case EventTag::kLeaf:
+          Hash('E', id);
+          Hash('L', id);
+          break;
+        case EventTag::kLeave:
+          Hash('L', id);
+          break;
+      }
+    }
   }
 
   uint64_t digest() const { return hash_.Digest(); }
 
  private:
+  void Hash(char tag, uint64_t id) {
+    hash_.Update(&tag, 1);
+    hash_.UpdateU64(id);
+  }
+
   Fnv1a64 hash_;
 };
 
@@ -42,10 +57,10 @@ Result<std::vector<uint64_t>> ComputeUnitDigests(
   SSUM_RETURN_NOT_OK(ParallelFor(
       0, units, 16,
       [&](size_t u) {
-        UnitDigestVisitor visitor;
-        Status s = source.AcceptUnits(u, u + 1, &visitor);
+        UnitDigestSink sink;
+        Status s = source.AcceptUnits(u, u + 1, &sink);
         if (s.ok()) {
-          digests[u] = visitor.digest();
+          digests[u] = sink.digest();
         } else {
           statuses[u] = std::move(s);
         }

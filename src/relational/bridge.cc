@@ -85,32 +85,30 @@ std::vector<std::pair<size_t, LinkId>> RelationalInstanceStream::FkColumns(
 void RelationalInstanceStream::EmitRow(
     size_t t, size_t row,
     const std::vector<std::pair<size_t, LinkId>>& fk_cols,
-    InstanceVisitor* visitor) const {
+    EventWriter* out) const {
   const Table& table = database_->table(t);
   const TableDef& def = table.def();
-  visitor->OnEnter(mapping_->table_elements[t]);
+  out->Enter(mapping_->table_elements[t]);
   for (const auto& [col, link] : fk_cols) {
-    if (!table.IsNull(row, col)) visitor->OnReference(link);
+    if (!table.IsNull(row, col)) out->Reference(link);
   }
   for (size_t c = 0; c < def.columns.size(); ++c) {
     if (table.IsNull(row, c)) continue;
-    const ElementId col_elem = mapping_->column_elements[t][c];
-    visitor->OnEnter(col_elem);
-    visitor->OnLeave(col_elem);
+    out->Leaf(mapping_->column_elements[t][c]);
   }
-  visitor->OnLeave(mapping_->table_elements[t]);
+  out->Leave(mapping_->table_elements[t]);
 }
 
-Status RelationalInstanceStream::Accept(InstanceVisitor* visitor) const {
+Status RelationalInstanceStream::Emit(EventWriter* out) const {
   const SchemaGraph& graph = mapping_->graph;
-  visitor->OnEnter(graph.root());
+  out->Enter(graph.root());
   for (size_t t = 0; t < database_->num_tables(); ++t) {
     const auto fk_cols = FkColumns(t);
     for (size_t r = 0; r < database_->table(t).num_rows(); ++r) {
-      EmitRow(t, r, fk_cols, visitor);
+      EmitRow(t, r, fk_cols, out);
     }
   }
-  visitor->OnLeave(graph.root());
+  out->Leave(graph.root());
   return Status::OK();
 }
 
@@ -122,16 +120,13 @@ uint64_t RelationalInstanceStream::NumUnits() const {
   return rows;
 }
 
-Status RelationalInstanceStream::AcceptSkeleton(
-    InstanceVisitor* visitor) const {
-  visitor->OnEnter(mapping_->graph.root());
-  visitor->OnLeave(mapping_->graph.root());
+Status RelationalInstanceStream::EmitSkeleton(EventWriter* out) const {
+  out->Leaf(mapping_->graph.root());
   return Status::OK();
 }
 
-Status RelationalInstanceStream::AcceptUnits(uint64_t begin, uint64_t end,
-                                             InstanceVisitor* visitor) const {
-  SSUM_RETURN_NOT_OK(ValidateUnitRange(begin, end, NumUnits()));
+Status RelationalInstanceStream::EmitUnits(uint64_t begin, uint64_t end,
+                                           EventWriter* out) const {
   uint64_t base = 0;
   for (size_t t = 0; t < database_->num_tables() && begin < end; ++t) {
     const uint64_t rows = database_->table(t).num_rows();
@@ -140,7 +135,7 @@ Status RelationalInstanceStream::AcceptUnits(uint64_t begin, uint64_t end,
       const auto fk_cols = FkColumns(t);
       const uint64_t stop = std::min(end, table_end);
       for (uint64_t u = begin; u < stop; ++u) {
-        EmitRow(t, static_cast<size_t>(u - base), fk_cols, visitor);
+        EmitRow(t, static_cast<size_t>(u - base), fk_cols, out);
       }
       begin = stop;
     }

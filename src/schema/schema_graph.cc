@@ -1,5 +1,6 @@
 #include "schema/schema_graph.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/logging.h"
@@ -30,6 +31,11 @@ Result<ElementId> SchemaGraph::AddElement(ElementId parent, std::string label,
   if (label.empty()) {
     return Status::InvalidArgument("AddElement: empty label");
   }
+  if (size() > kMaxSchemaId) {
+    return Status::InvalidArgument(
+        "AddElement: schema already holds the maximum of " +
+        std::to_string(size()) + " elements");
+  }
   ElementId id = static_cast<ElementId>(size());
   LinkId link = static_cast<LinkId>(slinks_.size());
   labels_.push_back(std::move(label));
@@ -37,6 +43,7 @@ Result<ElementId> SchemaGraph::AddElement(ElementId parent, std::string label,
   parents_.push_back(parent);
   parent_link_.push_back(link);
   depths_.push_back(depths_[parent] + 1);
+  height_ = std::max(height_, depths_.back());
   children_.emplace_back();
   neighbors_.emplace_back();
   children_[parent].push_back(id);
@@ -63,6 +70,11 @@ Result<LinkId> SchemaGraph::AddValueLink(ElementId referrer, ElementId referee,
   }
   if (referee_field != kInvalidElement && referee_field >= size()) {
     return Status::InvalidArgument("AddValueLink: referee field out of range");
+  }
+  if (vlinks_.size() > kMaxSchemaId) {
+    return Status::InvalidArgument(
+        "AddValueLink: schema already holds the maximum of " +
+        std::to_string(vlinks_.size()) + " value links");
   }
   LinkId link = static_cast<LinkId>(vlinks_.size());
   vlinks_.push_back({referrer, referee, referrer_field, referee_field});

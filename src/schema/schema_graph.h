@@ -20,6 +20,11 @@ inline constexpr ElementId kInvalidElement =
 /// Dense link identifier within its link class (structural or value).
 using LinkId = uint32_t;
 
+/// Largest element or value-link id a schema may hold. Ids travel in the
+/// 30-bit id field of an instance event (instance/event_stream.h), so
+/// AddElement / AddValueLink refuse to grow a schema past it.
+inline constexpr uint32_t kMaxSchemaId = (uint32_t{1} << 30) - 1;
+
 /// Structural link (e_parent ->S e_child), Definition 1.
 struct StructuralLink {
   ElementId parent;
@@ -92,6 +97,9 @@ class SchemaGraph {
   }
   /// Number of structural links from root to `e` (root depth 0).
   uint32_t depth(ElementId e) const { return depths_[e]; }
+  /// Largest depth of any element: a well-formed instance never has more
+  /// than height() + 1 nodes open at once.
+  uint32_t height() const { return height_; }
 
   const std::vector<StructuralLink>& structural_links() const {
     return slinks_;
@@ -138,6 +146,7 @@ class SchemaGraph {
   std::vector<ElementId> parents_;
   std::vector<LinkId> parent_link_;
   std::vector<uint32_t> depths_;
+  uint32_t height_ = 0;
   std::vector<std::vector<ElementId>> children_;
   std::vector<StructuralLink> slinks_;
   std::vector<ValueLink> vlinks_;

@@ -113,10 +113,8 @@ double Annotations::RelativeCardinality(const SchemaGraph& graph,
   return static_cast<double>(count) / static_cast<double>(owner_card);
 }
 
-namespace {
-
-/// Figure 3 visitor: counts element and link instances while checking the
-/// stream is a well-formed pre-order traversal.
+/// Figure 3 as an event sink: counts element and link instances block by
+/// block while checking the stream is a well-formed pre-order traversal.
 ///
 /// Two anchoring modes:
 ///   - kRoot (AnnotateSchema): the stream is one full traversal — the first
@@ -125,131 +123,156 @@ namespace {
 ///     subtrees rooted at non-root elements. Each unit root counts its
 ///     parent structural link exactly as the serial pass entering it under
 ///     its container does, so per-shard results merge to the serial counts.
-class AnnotateVisitor : public InstanceVisitor {
+///
+/// One non-virtual loop per block over flat tables copied from the schema.
+/// Every node entered below the first is a schema child of the open node
+/// above it, so the open nodes lie on one root-to-leaf schema path: the
+/// stack never holds more than schema.height() + 1 entries and is sized
+/// once, with no bounds check on push. Anchoring a node at depth 0 and
+/// building error messages run out of line.
+class AnnotateSink final : public EventSink {
  public:
   enum class Anchor { kRoot, kSubtrees };
 
-  explicit AnnotateVisitor(const SchemaGraph& schema,
-                           Anchor anchor = Anchor::kRoot)
-      : schema_(schema), annotations_(schema), anchor_(anchor) {}
-
-  void OnEnter(ElementId e) override {
-    if (!status_.ok()) return;
-    if (e >= schema_.size()) {
-      status_ = Status::FailedPrecondition("stream: element id out of range");
-      return;
+  AnnotateSink(const SchemaGraph& schema, Anchor anchor)
+      : schema_(schema),
+        anchor_(anchor),
+        annotations_(schema),
+        parent_(schema.size()),
+        parent_link_(schema.size()),
+        referrer_(schema.value_links().size()),
+        stack_(schema.height() + 1) {
+    for (ElementId e = 0; e < schema.size(); ++e) {
+      parent_[e] = schema.parent(e);
+      parent_link_[e] = schema.parent_link(e);
     }
-    if (stack_.empty()) {
-      if (anchor_ == Anchor::kSubtrees) {
-        if (e == schema_.root()) {
-          status_ = Status::FailedPrecondition(
-              "stream: unit subtree rooted at the schema root");
+    for (LinkId l = 0; l < referrer_.size(); ++l) {
+      referrer_[l] = schema.value_links()[l].referrer;
+    }
+  }
+
+  void Consume(const Event* events, size_t n) override {
+    if (!status_.ok()) return;
+    const ElementId* const parent = parent_.data();
+    const LinkId* const parent_link = parent_link_.data();
+    const ElementId* const referrer = referrer_.data();
+    const uint32_t num_elements = static_cast<uint32_t>(parent_.size());
+    const uint32_t num_vlinks = static_cast<uint32_t>(referrer_.size());
+    uint64_t* const card = annotations_.card_.data();
+    uint64_t* const slink = annotations_.slink_count_.data();
+    uint64_t* const vlink = annotations_.vlink_count_.data();
+    ElementId* const stack = stack_.data();
+    size_t depth = depth_;
+    for (size_t i = 0; i < n; ++i) {
+      const EventTag tag = EventTagOf(events[i]);
+      const uint32_t id = EventIdOf(events[i]);
+      if (tag == EventTag::kReference) {
+        if (id >= num_vlinks || depth == 0 || referrer[id] != stack[depth - 1])
+            [[unlikely]] {
+          return FailReference(id, depth);
+        }
+        ++vlink[id];
+      } else if (tag == EventTag::kLeave) {
+        if (depth == 0 || stack[depth - 1] != id) [[unlikely]] {
+          return Fail("stream: unbalanced leave event");
+        }
+        --depth;
+      } else {  // kEnter or kLeaf
+        if (id >= num_elements) [[unlikely]] {
+          return Fail("stream: element id out of range");
+        }
+        if (depth > 0) {
+          if (parent[id] != stack[depth - 1]) [[unlikely]] {
+            return FailParent(id, stack[depth - 1]);
+          }
+          ++slink[parent_link[id]];
+        } else if (!EnterAtTop(id)) {
           return;
         }
-        // The unit's container is not part of this shard's stream; count
-        // the container -> unit-root link the serial pass would count.
-        annotations_.increment_structural(schema_.parent_link(e));
-      } else if (e != schema_.root()) {
-        status_ = Status::FailedPrecondition(
-            "stream: first node is not the schema root");
-        return;
+        ++card[id];
+        if (tag == EventTag::kEnter) stack[depth++] = id;
       }
-    } else {
-      if (schema_.parent(e) != stack_.back()) {
-        status_ = Status::FailedPrecondition(
-            "stream: node '" + schema_.label(e) +
-            "' entered under node of element '" +
-            schema_.label(stack_.back()) + "' but its schema parent is '" +
-            (schema_.parent(e) == kInvalidElement
-                 ? std::string("<none>")
-                 : schema_.label(schema_.parent(e))) +
-            "'");
-        return;
-      }
-      annotations_.increment_structural(schema_.parent_link(e));
     }
-    annotations_.increment_card(e);
-    stack_.push_back(e);
+    depth_ = depth;
   }
 
-  void OnReference(LinkId vlink) override {
-    if (!status_.ok()) return;
-    if (vlink >= schema_.value_links().size()) {
-      status_ = Status::FailedPrecondition("stream: vlink id out of range");
-      return;
-    }
-    if (stack_.empty()) {
-      status_ = Status::FailedPrecondition("stream: reference outside a node");
-      return;
-    }
-    if (schema_.value_links()[vlink].referrer != stack_.back()) {
-      status_ = Status::FailedPrecondition(
-          "stream: reference emitted by element '" +
-          schema_.label(stack_.back()) + "' but link referrer is '" +
-          schema_.label(schema_.value_links()[vlink].referrer) + "'");
-      return;
-    }
-    annotations_.increment_value(vlink);
-  }
-
-  void OnLeave(ElementId e) override {
-    if (!status_.ok()) return;
-    if (stack_.empty() || stack_.back() != e) {
-      status_ = Status::FailedPrecondition("stream: unbalanced leave event");
-      return;
-    }
-    stack_.pop_back();
-  }
-
-  Status Finish() {
-    if (!status_.ok()) return status_;
-    if (!stack_.empty()) {
+  /// The counts once the traversal is over; `traversal` is the status of
+  /// the source's run, which wins over any error the sink saw.
+  Result<Annotations> Finish(const Status& traversal) {
+    SSUM_RETURN_NOT_OK(traversal);
+    SSUM_RETURN_NOT_OK(status_);
+    if (depth_ != 0) {
       return Status::FailedPrecondition("stream: unclosed nodes at end");
     }
-    return Status::OK();
+    return std::move(annotations_);
   }
 
-  Annotations Take() { return std::move(annotations_); }
-
  private:
+  /// A node entered with nothing open: the root of the traversal (kRoot)
+  /// or of the next unit (kSubtrees). The caller counts the node itself.
+  [[gnu::noinline]] bool EnterAtTop(ElementId e) {
+    if (anchor_ == Anchor::kSubtrees) {
+      if (e == schema_.root()) {
+        Fail("stream: unit subtree rooted at the schema root");
+        return false;
+      }
+      // The unit's container is not part of this shard's stream; count the
+      // container -> unit-root link the serial pass would count.
+      annotations_.increment_structural(schema_.parent_link(e));
+      return true;
+    }
+    if (e != schema_.root()) {
+      Fail("stream: first node is not the schema root");
+      return false;
+    }
+    return true;
+  }
+
+  [[gnu::cold, gnu::noinline]] void Fail(const char* message) {
+    status_ = Status::FailedPrecondition(message);
+  }
+
+  [[gnu::cold, gnu::noinline]] void FailParent(ElementId e, ElementId open) {
+    const ElementId expected = schema_.parent(e);
+    status_ = Status::FailedPrecondition(
+        "stream: node '" + schema_.label(e) +
+        "' entered under node of element '" + schema_.label(open) +
+        "' but its schema parent is '" +
+        (expected == kInvalidElement ? std::string("<none>")
+                                     : schema_.label(expected)) +
+        "'");
+  }
+
+  [[gnu::cold, gnu::noinline]] void FailReference(LinkId l, size_t depth) {
+    if (l >= referrer_.size()) return Fail("stream: vlink id out of range");
+    if (depth == 0) return Fail("stream: reference outside a node");
+    status_ = Status::FailedPrecondition(
+        "stream: reference emitted by element '" +
+        schema_.label(stack_[depth - 1]) + "' but link referrer is '" +
+        schema_.label(referrer_[l]) + "'");
+  }
+
   const SchemaGraph& schema_;
+  const Anchor anchor_;
   Annotations annotations_;
+  // Flat copies of the schema's per-id tables.
+  std::vector<ElementId> parent_;
+  std::vector<LinkId> parent_link_;
+  std::vector<ElementId> referrer_;
   std::vector<ElementId> stack_;
+  size_t depth_ = 0;
   Status status_;
-  Anchor anchor_;
 };
-
-/// Presents a sharded source's skeleton as a plain InstanceStream so the
-/// root-anchored visitor path annotates it unchanged.
-class SkeletonStream : public InstanceStream {
- public:
-  explicit SkeletonStream(const ShardedInstanceSource& source)
-      : source_(source) {}
-
-  const SchemaGraph& schema() const override { return source_.schema(); }
-  Status Accept(InstanceVisitor* visitor) const override {
-    return source_.AcceptSkeleton(visitor);
-  }
-
- private:
-  const ShardedInstanceSource& source_;
-};
-
-}  // namespace
 
 Result<Annotations> AnnotateSchema(const InstanceStream& stream) {
-  AnnotateVisitor visitor(stream.schema());
-  SSUM_RETURN_NOT_OK(stream.Accept(&visitor));
-  SSUM_RETURN_NOT_OK(visitor.Finish());
-  return visitor.Take();
+  AnnotateSink sink(stream.schema(), AnnotateSink::Anchor::kRoot);
+  return sink.Finish(stream.Accept(&sink));
 }
 
 Result<Annotations> AnnotateUnits(const ShardedInstanceSource& source,
                                   uint64_t begin, uint64_t end) {
-  AnnotateVisitor visitor(source.schema(), AnnotateVisitor::Anchor::kSubtrees);
-  SSUM_RETURN_NOT_OK(source.AcceptUnits(begin, end, &visitor));
-  SSUM_RETURN_NOT_OK(visitor.Finish());
-  return visitor.Take();
+  AnnotateSink sink(source.schema(), AnnotateSink::Anchor::kSubtrees);
+  return sink.Finish(source.AcceptUnits(begin, end, &sink));
 }
 
 Result<Annotations> AnnotateSchemaSharded(const ShardedInstanceSource& source,
@@ -265,8 +288,10 @@ Result<Annotations> AnnotateSchemaSharded(const ShardedInstanceSource& source,
   }
   shards = std::max<uint64_t>(1, std::min(shards, std::max<uint64_t>(1, units)));
 
+  AnnotateSink skeleton(source.schema(), AnnotateSink::Anchor::kRoot);
   Annotations total;
-  SSUM_ASSIGN_OR_RETURN(total, AnnotateSchema(SkeletonStream(source)));
+  SSUM_ASSIGN_OR_RETURN(total,
+                        skeleton.Finish(source.AcceptSkeleton(&skeleton)));
 
   // One private Annotations per shard; ParallelFor's chunk schedule never
   // affects which shard writes which slot, so the reduction below is the

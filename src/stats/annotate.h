@@ -81,6 +81,9 @@ class Annotations {
   bool operator==(const Annotations&) const = default;
 
  private:
+  /// The Figure 3 counting loop (annotate.cc) writes the arrays directly.
+  friend class AnnotateSink;
+
   std::vector<uint64_t> card_;
   std::vector<uint64_t> slink_count_;
   std::vector<uint64_t> vlink_count_;

@@ -365,7 +365,7 @@ Result<std::vector<ArtifactCache::LineageEntry>> ArtifactCache::ListLineage()
     const {
   std::vector<LineageEntry> out;
   std::vector<CacheEntry> entries;
-  SSUM_ASSIGN_OR_RETURN(entries, List());
+  SSUM_ASSIGN_OR_RETURN(entries, ScanContainers());
   const std::string prefix = std::string(kDeltaFamily) + "-";
   const size_t suffix_len = std::string(kContainerSuffix).size();
   for (const CacheEntry& entry : entries) {
@@ -439,6 +439,23 @@ Result<CacheCounters> ArtifactCache::ReadPersistentCounters() const {
 
 Result<std::vector<CacheEntry>> ArtifactCache::List() const {
   std::vector<CacheEntry> entries;
+  SSUM_ASSIGN_OR_RETURN(entries, ScanContainers());
+  for (CacheEntry& entry : entries) {
+    auto header =
+        env_->ReadFilePrefix(dir_ + "/" + entry.file, kContainerHeaderSize);
+    if (!header.ok()) continue;
+    auto info = PeekContainer(*header);
+    if (info.ok()) {
+      entry.readable = true;
+      entry.format_version = info->format_version;
+      entry.payload_kind = info->payload_kind;
+    }
+  }
+  return entries;
+}
+
+Result<std::vector<CacheEntry>> ArtifactCache::ScanContainers() const {
+  std::vector<CacheEntry> entries;
   std::error_code ec;
   if (!fs::exists(dir_, ec)) return entries;
   for (const auto& dirent : fs::directory_iterator(dir_, ec)) {
@@ -449,15 +466,6 @@ Result<std::vector<CacheEntry>> ArtifactCache::List() const {
     CacheEntry entry;
     entry.file = dirent.path().filename().string();
     entry.bytes = dirent.file_size(ec);
-    auto bytes = ReadFileBytes(env_, dirent.path().string());
-    if (bytes.ok()) {
-      auto info = PeekContainer(*bytes);
-      if (info.ok()) {
-        entry.readable = true;
-        entry.format_version = info->format_version;
-        entry.payload_kind = info->payload_kind;
-      }
-    }
     entries.push_back(std::move(entry));
   }
   if (ec) {
@@ -475,7 +483,7 @@ Result<ArtifactCache::VerifyReport> ArtifactCache::Verify(
     bool quarantine_corrupt) {
   VerifyReport report;
   std::vector<CacheEntry> entries;
-  SSUM_ASSIGN_OR_RETURN(entries, List());
+  SSUM_ASSIGN_OR_RETURN(entries, ScanContainers());
   for (const CacheEntry& entry : entries) {
     const std::string path = dir_ + "/" + entry.file;
     bool corrupt = false;

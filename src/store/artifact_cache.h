@@ -170,7 +170,8 @@ class ArtifactCache {
   /// Lifetime counters from the persistent counter file (zeros when none).
   Result<CacheCounters> ReadPersistentCounters() const;
 
-  /// All container files in the directory, header-peeked.
+  /// All container files in the directory, header-peeked: reads only the
+  /// kContainerHeaderSize-byte header of each file.
   Result<std::vector<CacheEntry>> List() const;
 
   struct VerifyReport {
@@ -207,6 +208,9 @@ class ArtifactCache {
                     std::string_view bytes);
   void CountMiss(const std::string& path, const Status& why, bool foreign);
   void LogOnce(const std::string& path, const std::string& message);
+  /// Container files in the directory, sorted by name, with their sizes;
+  /// reads no file (List() adds the header peek).
+  Result<std::vector<CacheEntry>> ScanContainers() const;
   /// Reads a file through env_, retrying transient IoErrors per retry_.
   Result<std::string> ReadWithRetry(const std::string& path) const;
   /// Best-effort advisory writer lock on the cache directory (".lock").

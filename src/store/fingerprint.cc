@@ -71,27 +71,36 @@ Fingerprint FingerprintMatrixOptions(const AffinityOptions& affinity,
   return Fingerprint{hash.Digest()};
 }
 
-void DigestVisitor::OnEnter(ElementId e) {
-  hash_.UpdateU64(kEnterTag);
-  hash_.UpdateU64(e);
+void DigestSink::Consume(const Event* events, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t id = EventIdOf(events[i]);
+    switch (EventTagOf(events[i])) {
+      case EventTag::kEnter:
+        hash_.UpdateU64(kEnterTag);
+        hash_.UpdateU64(id);
+        break;
+      case EventTag::kReference:
+        hash_.UpdateU64(kReferenceTag);
+        hash_.UpdateU64(id);
+        break;
+      case EventTag::kLeaf:
+        hash_.UpdateU64(kEnterTag);
+        hash_.UpdateU64(id);
+        hash_.UpdateU64(kLeaveTag);
+        hash_.UpdateU64(id);
+        break;
+      case EventTag::kLeave:
+        hash_.UpdateU64(kLeaveTag);
+        hash_.UpdateU64(id);
+        break;
+    }
+  }
 }
 
-void DigestVisitor::OnReference(LinkId vlink) {
-  hash_.UpdateU64(kReferenceTag);
-  hash_.UpdateU64(vlink);
-}
-
-void DigestVisitor::OnLeave(ElementId e) {
-  hash_.UpdateU64(kLeaveTag);
-  hash_.UpdateU64(e);
-}
-
-Fingerprint DigestVisitor::digest() const {
-  return Fingerprint{hash_.Digest()};
-}
+Fingerprint DigestSink::digest() const { return Fingerprint{hash_.Digest()}; }
 
 Result<Fingerprint> DigestInstanceStream(const InstanceStream& stream) {
-  DigestVisitor digest;
+  DigestSink digest;
   SSUM_RETURN_NOT_OK(stream.Accept(&digest));
   return digest.digest();
 }

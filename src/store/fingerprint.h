@@ -52,17 +52,17 @@ Fingerprint FingerprintMatrixOptions(const AffinityOptions& affinity,
                                      const CoverageOptions& coverage);
 
 /// Streaming digest of an instance stream: one full traversal hashing every
-/// enter/reference/leave event. This is the content-addressed identity of a
+/// enter/reference/leave event (a leaf event hashes as its enter + leave
+/// pair, so the digest does not depend on which form a source emits). This
+/// is the content-addressed identity of a
 /// database instance when no cheaper identity (file bytes, generator
 /// parameters) exists. Note the cost — one traversal, the same order of
 /// work as AnnotateSchema itself — which is why the dataset registry keys
 /// synthetic instances by generator identity instead (see
 /// datasets/registry.h).
-class DigestVisitor : public InstanceVisitor {
+class DigestSink : public EventSink {
  public:
-  void OnEnter(ElementId e) override;
-  void OnReference(LinkId vlink) override;
-  void OnLeave(ElementId e) override;
+  void Consume(const Event* events, size_t n) override;
 
   Fingerprint digest() const;
 

@@ -14,7 +14,7 @@ XmlInstanceStream::XmlInstanceStream(const SchemaGraph* schema,
   }
 }
 
-Status XmlInstanceStream::EmitNodeEvents(InstanceVisitor* visitor,
+Status XmlInstanceStream::EmitNodeEvents(EventWriter* out,
                                          const XmlElement& elem,
                                          ElementId element) const {
   // References first: the annotator requires them while this node is open
@@ -25,12 +25,12 @@ Status XmlInstanceStream::EmitNodeEvents(InstanceVisitor* visitor,
       std::string_view attr_name =
           std::string_view(carrier_label).substr(1);
       for (const auto& [name, value] : elem.attributes) {
-        if (name == attr_name && !value.empty()) visitor->OnReference(link);
+        if (name == attr_name && !value.empty()) out->Reference(link);
       }
     } else {
       for (const XmlElement& child : elem.children) {
         if (child.name == carrier_label && !child.text.empty()) {
-          visitor->OnReference(link);
+          out->Reference(link);
         }
       }
     }
@@ -50,8 +50,7 @@ Status XmlInstanceStream::EmitNodeEvents(InstanceVisitor* visitor,
                                         "' not declared under '" +
                                         schema_->PathOf(element) + "'");
     }
-    visitor->OnEnter(attr_elem);
-    visitor->OnLeave(attr_elem);
+    out->Leaf(attr_elem);
     (void)value;
   }
   return Status::OK();
@@ -67,17 +66,21 @@ Result<ElementId> XmlInstanceStream::ResolveChild(
                                     schema_->PathOf(element) + "'");
 }
 
-Status XmlInstanceStream::Walk(InstanceVisitor* visitor,
-                               const XmlElement& elem,
+Status XmlInstanceStream::Walk(EventWriter* out, const XmlElement& elem,
                                ElementId element) const {
-  visitor->OnEnter(element);
-  SSUM_RETURN_NOT_OK(EmitNodeEvents(visitor, elem, element));
+  if (elem.children.empty() && elem.attributes.empty() &&
+      carriers_[element].empty()) {
+    out->Leaf(element);  // no node events and no children to emit
+    return Status::OK();
+  }
+  out->Enter(element);
+  SSUM_RETURN_NOT_OK(EmitNodeEvents(out, elem, element));
   for (const XmlElement& child : elem.children) {
     ElementId child_elem;
     SSUM_ASSIGN_OR_RETURN(child_elem, ResolveChild(element, child));
-    SSUM_RETURN_NOT_OK(Walk(visitor, child, child_elem));
+    SSUM_RETURN_NOT_OK(Walk(out, child, child_elem));
   }
-  visitor->OnLeave(element);
+  out->Leave(element);
   return Status::OK();
 }
 
@@ -90,28 +93,27 @@ Status XmlInstanceStream::CheckRoot() const {
   return Status::OK();
 }
 
-Status XmlInstanceStream::Accept(InstanceVisitor* visitor) const {
+Status XmlInstanceStream::Emit(EventWriter* out) const {
   SSUM_RETURN_NOT_OK(CheckRoot());
-  return Walk(visitor, doc_->root, schema_->root());
+  return Walk(out, doc_->root, schema_->root());
 }
 
-Status XmlInstanceStream::AcceptSkeleton(InstanceVisitor* visitor) const {
+Status XmlInstanceStream::EmitSkeleton(EventWriter* out) const {
   SSUM_RETURN_NOT_OK(CheckRoot());
-  visitor->OnEnter(schema_->root());
-  SSUM_RETURN_NOT_OK(EmitNodeEvents(visitor, doc_->root, schema_->root()));
-  visitor->OnLeave(schema_->root());
+  out->Enter(schema_->root());
+  SSUM_RETURN_NOT_OK(EmitNodeEvents(out, doc_->root, schema_->root()));
+  out->Leave(schema_->root());
   return Status::OK();
 }
 
-Status XmlInstanceStream::AcceptUnits(uint64_t begin, uint64_t end,
-                                      InstanceVisitor* visitor) const {
-  SSUM_RETURN_NOT_OK(ValidateUnitRange(begin, end, NumUnits()));
+Status XmlInstanceStream::EmitUnits(uint64_t begin, uint64_t end,
+                                    EventWriter* out) const {
   SSUM_RETURN_NOT_OK(CheckRoot());
   for (uint64_t u = begin; u < end; ++u) {
     const XmlElement& child = doc_->root.children[u];
     ElementId child_elem;
     SSUM_ASSIGN_OR_RETURN(child_elem, ResolveChild(schema_->root(), child));
-    SSUM_RETURN_NOT_OK(Walk(visitor, child, child_elem));
+    SSUM_RETURN_NOT_OK(Walk(out, child, child_elem));
   }
   return Status::OK();
 }

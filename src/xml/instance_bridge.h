@@ -16,7 +16,7 @@ namespace ssum {
 ///
 /// Element resolution is by label under the current schema context
 /// (attributes resolve as "@name"). Value-link reference instances are
-/// emitted from the link's declared referrer carrier field: one OnReference
+/// emitted from the link's declared referrer carrier field: one reference
 /// per instance of the carrier (attribute occurrence or child element) on a
 /// referrer node. Reference *targets* are not resolved — annotation needs
 /// only instance counts (paper Figure 3).
@@ -30,21 +30,21 @@ class XmlInstanceStream : public InstanceStream,
   XmlInstanceStream(const SchemaGraph* schema, const XmlDocument* doc);
 
   const SchemaGraph& schema() const override { return *schema_; }
-  Status Accept(InstanceVisitor* visitor) const override;
 
   // ShardedInstanceSource: units are the root element's child elements; the
   // skeleton is the root node itself with its references and attributes.
   uint64_t NumUnits() const override { return doc_->root.children.size(); }
-  Status AcceptSkeleton(InstanceVisitor* visitor) const override;
-  Status AcceptUnits(uint64_t begin, uint64_t end,
-                     InstanceVisitor* visitor) const override;
 
  private:
-  Status Walk(InstanceVisitor* visitor, const XmlElement& elem,
+  Status Emit(EventWriter* out) const override;
+  Status EmitSkeleton(EventWriter* out) const override;
+  Status EmitUnits(uint64_t begin, uint64_t end,
+                   EventWriter* out) const override;
+  Status Walk(EventWriter* out, const XmlElement& elem,
               ElementId element) const;
   /// Emits the open-node events of `elem` (references, then attribute
   /// leaves) — everything Walk does before recursing into child elements.
-  Status EmitNodeEvents(InstanceVisitor* visitor, const XmlElement& elem,
+  Status EmitNodeEvents(EventWriter* out, const XmlElement& elem,
                         ElementId element) const;
   Result<ElementId> ResolveChild(ElementId element,
                                  const XmlElement& child) const;

@@ -11,6 +11,7 @@
 #include "instance/data_tree.h"
 #include "schema/schema_builder.h"
 #include "stats/annotate.h"
+#include "stats/delta.h"
 #include "store/artifact_cache.h"
 #include "store/codec.h"
 #include "store/container.h"
@@ -264,6 +265,91 @@ TEST(CacheTest, ListAndClear) {
   entries = cache.List();
   ASSERT_TRUE(entries.ok());
   EXPECT_TRUE(entries->empty());
+}
+
+/// Forwards to the default Env and counts the bytes every read returns.
+class ReadCountingEnv : public Env {
+ public:
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    return base_->NewWritableFile(path);
+  }
+  Result<std::string> ReadFile(const std::string& path) override {
+    return Count(base_->ReadFile(path));
+  }
+  Result<std::string> ReadFilePrefix(const std::string& path,
+                                     size_t max_bytes) override {
+    return Count(base_->ReadFilePrefix(path, max_bytes));
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  Status CreateDirs(const std::string& path) override {
+    return base_->CreateDirs(path);
+  }
+  Status SyncDir(const std::string& path) override {
+    return base_->SyncDir(path);
+  }
+  Result<bool> FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+
+  uint64_t bytes_read = 0;
+
+ private:
+  Result<std::string> Count(Result<std::string> bytes) {
+    if (bytes.ok()) bytes_read += bytes->size();
+    return bytes;
+  }
+
+  Env* base_ = Env::Default();
+};
+
+TEST(CacheTest, ListReadsHeadersAndVerifyReadsEachFileOnce) {
+  Fixture f;
+  ReadCountingEnv env;
+  ArtifactCache cache(MakeCacheDir("readcount"), &env);
+  Annotations base = f.MakeAnnotations();
+  Annotations next = base;
+  next.set_card(f.bidder, next.card(f.bidder) + 1);
+  auto delta = DiffAnnotations(base, next);
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  ASSERT_TRUE(cache.StoreAnnotations(Fingerprint{1}, base).ok());
+  ASSERT_TRUE(
+      cache.StoreAnnotationsDelta(Fingerprint{2}, Fingerprint{1}, *delta).ok());
+  ASSERT_TRUE(cache
+                  .StoreMatrix(ArtifactCache::kAffinityFamily, Fingerprint{3},
+                               SquareMatrix(40, 0.5))
+                  .ok());
+
+  env.bytes_read = 0;
+  auto entries = cache.List();
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  ASSERT_EQ(entries->size(), 3u);
+  uint64_t total = 0, delta_bytes = 0;
+  for (const CacheEntry& e : *entries) {
+    EXPECT_TRUE(e.readable) << e.file;
+    EXPECT_GT(e.bytes, kContainerHeaderSize) << e.file;
+    total += e.bytes;
+    if (e.file.rfind("delta-", 0) == 0) delta_bytes += e.bytes;
+  }
+  EXPECT_EQ(env.bytes_read, 3 * kContainerHeaderSize);
+
+  env.bytes_read = 0;
+  auto report = cache.Verify();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->ok, 3u);
+  EXPECT_EQ(env.bytes_read, total);
+
+  env.bytes_read = 0;
+  auto lineage = cache.ListLineage();
+  ASSERT_TRUE(lineage.ok()) << lineage.status().ToString();
+  ASSERT_EQ(lineage->size(), 1u);
+  EXPECT_TRUE((*lineage)[0].readable);
+  EXPECT_EQ(env.bytes_read, delta_bytes);
 }
 
 TEST(CacheTest, PersistentCountersAccumulateAcrossFlushes) {

@@ -95,7 +95,7 @@ TEST(TpchDistributionTest, DataElementsMatchPaperScale) {
   TpchParams p;
   p.sf = 0.01;
   TpchDataset ds(p);
-  CountingVisitor counter;
+  CountingSink counter;
   ASSERT_TRUE(ds.MakeStream()->Accept(&counter).ok());
   // 1/10 of the paper's scale -> ~1.25M nodes.
   EXPECT_NEAR(static_cast<double>(counter.nodes()), 1.25e6, 0.08e6);
@@ -124,7 +124,7 @@ TEST(MimiDistributionTest, VersionGrowthIsMonotone) {
     p.version = v;
     p.scale = 0.01;
     MimiDataset ds(p);
-    CountingVisitor counter;
+    CountingSink counter;
     ASSERT_TRUE(ds.MakeStream()->Accept(&counter).ok());
     EXPECT_GT(counter.nodes(), previous) << MimiVersionName(v);
     previous = counter.nodes();

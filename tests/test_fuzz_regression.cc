@@ -8,11 +8,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/summary_io.h"
 #include "datasets/scenario.h"
+#include "event_fuzz.h"
 #include "instance/materialize.h"
 #include "relational/csv.h"
 #include "serve/wire.h"
@@ -324,6 +326,53 @@ TEST(FuzzRegressionTest, ServeCorpus) {
       // guarantee; the decoders may accept or reject.
     }
   }
+}
+
+TEST(FuzzRegressionTest, EventsCorpus) {
+  // Expected outcome of each named fixture (the empty string means OK);
+  // every fixture, named or not, must agree with the per-event reference.
+  const std::map<std::string, std::string> expected = {
+      {"valid_root.bin", ""},
+      {"valid_units.bin", ""},
+      {"many_blocks.bin", ""},
+      {"empty_root.bin", ""},
+      {"leaf_first.bin", "stream: first node is not the schema root"},
+      {"leaf_wrong_parent.bin",
+       "stream: node 'name' entered under node of element 'db' but its "
+       "schema parent is 'person'"},
+      {"leaf_out_of_range.bin", "stream: element id out of range"},
+      {"id_overflow.bin",
+       "stream: element id 1073741825 does not fit in the 30-bit event id "
+       "field"},
+      {"vlink_overflow.bin",
+       "stream: vlink id 4294967295 does not fit in the 30-bit event id "
+       "field"},
+      {"unit_at_root.bin", "stream: unit subtree rooted at the schema root"},
+      {"unbalanced_leave.bin", "stream: unbalanced leave event"},
+      {"unclosed.bin", "stream: unclosed nodes at end"},
+      {"reference_outside.bin", "stream: reference outside a node"},
+      {"reference_wrong_referrer.bin",
+       "stream: reference emitted by element 'db' but link referrer is "
+       "'bidder'"},
+  };
+  size_t named = 0;
+  for (const fs::path& p : CorpusFiles("events")) {
+    const std::string bytes = ReadFileOrDie(p);
+    const std::string name = p.filename().string();
+    const fuzz::EventCheck check = fuzz::CheckEvents(
+        reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+    EXPECT_EQ(check.mismatch, "") << name;
+    auto it = expected.find(name);
+    if (it == expected.end()) continue;
+    ++named;
+    if (it->second.empty()) {
+      EXPECT_TRUE(check.status.ok()) << name << ": " << check.status.ToString();
+    } else {
+      EXPECT_EQ(check.status.code(), StatusCode::kFailedPrecondition) << name;
+      EXPECT_EQ(check.status.message(), it->second) << name;
+    }
+  }
+  EXPECT_EQ(named, expected.size()) << "a named events fixture is missing";
 }
 
 }  // namespace

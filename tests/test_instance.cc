@@ -80,11 +80,29 @@ TEST(DataTreeTest, AcceptEmitsPreOrder) {
   NodeId owner = *t.AddNode(owners, f.owner);
   ASSERT_TRUE(t.AddReference(f.owned_by, item, owner).ok());
 
-  struct Recorder : InstanceVisitor {
+  // Records leaves as their enter + leave pair.
+  struct Recorder : EventSink {
     std::vector<std::pair<char, uint32_t>> events;
-    void OnEnter(ElementId e) override { events.push_back({'+', e}); }
-    void OnReference(LinkId l) override { events.push_back({'r', l}); }
-    void OnLeave(ElementId e) override { events.push_back({'-', e}); }
+    void Consume(const Event* block, size_t n) override {
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t id = EventIdOf(block[i]);
+        switch (EventTagOf(block[i])) {
+          case EventTag::kEnter:
+            events.push_back({'+', id});
+            break;
+          case EventTag::kReference:
+            events.push_back({'r', id});
+            break;
+          case EventTag::kLeaf:
+            events.push_back({'+', id});
+            events.push_back({'-', id});
+            break;
+          case EventTag::kLeave:
+            events.push_back({'-', id});
+            break;
+        }
+      }
+    }
   } rec;
   ASSERT_TRUE(t.Accept(&rec).ok());
   // Pre-order: root, items, item (with its reference), name, ..., owners.
@@ -152,7 +170,7 @@ TEST(ConformanceTest, RequireAllRcdChildren) {
   EXPECT_TRUE(CheckConformance(t, strict).IsFailedPrecondition());
 }
 
-TEST(CountingVisitorTest, Counts) {
+TEST(CountingSinkTest, Counts) {
   Fixture f;
   DataTree t(&f.schema);
   NodeId items = *t.AddNode(t.root(), f.items);
@@ -160,7 +178,7 @@ TEST(CountingVisitorTest, Counts) {
   NodeId owners = *t.AddNode(t.root(), f.owners);
   NodeId owner = *t.AddNode(owners, f.owner);
   ASSERT_TRUE(t.AddReference(f.owned_by, item, owner).ok());
-  CountingVisitor counter;
+  CountingSink counter;
   ASSERT_TRUE(t.Accept(&counter).ok());
   EXPECT_EQ(counter.nodes(), 5u);
   EXPECT_EQ(counter.references(), 1u);

@@ -26,7 +26,7 @@ TEST(MaterializeTest, DataTreeMatchesStreamStructure) {
   auto stream = ds.MakeStream();
   auto tree = MaterializeToDataTree(*stream);
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-  CountingVisitor counter;
+  CountingSink counter;
   ASSERT_TRUE(stream->Accept(&counter).ok());
   EXPECT_EQ(tree->size(), counter.nodes());
   // The materialized tree conforms to the schema.

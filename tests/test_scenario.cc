@@ -254,7 +254,7 @@ TEST(ScenarioDatasetTest, AnnotationTotalsMatchTheStream) {
   ScenarioSpec spec = SmallSpec();
   auto ds = ScenarioDataset::Make(spec);
   ASSERT_TRUE(ds.ok());
-  CountingVisitor counter;
+  CountingSink counter;
   ASSERT_TRUE(ds->MakeStream()->Accept(&counter).ok());
   auto ann = AnnotateSchema(*ds->MakeStream());
   ASSERT_TRUE(ann.ok());

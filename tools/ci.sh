@@ -55,7 +55,7 @@ FUZZ_ITERATIONS="${FUZZ_ITERATIONS:-20000}"
 FUZZ_SEED="${FUZZ_SEED:-7}"
 FUZZ_TOTAL_TIME="${FUZZ_TOTAL_TIME:-30}"   # seconds per libFuzzer target
 FUZZ_TARGETS=(fuzz_xml fuzz_ddl fuzz_csv fuzz_summary fuzz_store
-              fuzz_serve_frame)
+              fuzz_serve_frame fuzz_events)
 
 # Per-toolchain build trees. Plain gcc keeps the historical names (build,
 # build-tsan, build-asan) so local incremental builds stay warm.
