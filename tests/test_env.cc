@@ -92,6 +92,37 @@ TEST(PosixEnvTest, ReadFileContract) {
   EXPECT_TRUE(*read == big);
 }
 
+TEST(PosixEnvTest, ReadFilePrefixContract) {
+  Env* env = Env::Default();
+  const std::string dir = MakeTestDir("prefix_contract");
+  EXPECT_TRUE(env->ReadFilePrefix(dir + "/absent", 24).status().IsNotFound());
+  EXPECT_TRUE(env->ReadFilePrefix(dir, 24).status().IsIoError());
+
+  ASSERT_TRUE(AtomicWriteFile(env, dir + "/f", "0123456789").ok());
+  auto head = env->ReadFilePrefix(dir + "/f", 4);
+  ASSERT_TRUE(head.ok()) << head.status().ToString();
+  EXPECT_EQ(*head, "0123");
+  auto whole = env->ReadFilePrefix(dir + "/f", 24);  // shorter than asked
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(*whole, "0123456789");
+  auto none = env->ReadFilePrefix(dir + "/f", 0);
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(*none, "");
+}
+
+TEST(FaultEnvTest, PrefixReadsAreObservedAsReads) {
+  FaultInjectingEnv env(Env::Default());
+  const std::string dir = MakeTestDir("prefix_fault");
+  ASSERT_TRUE(AtomicWriteFile(&env, dir + "/f", "payload").ok());
+  env.ScheduleFault({FaultOp::kRead, 1, FaultKind::kEio, 0,
+                     /*transient=*/true});
+  EXPECT_TRUE(env.ReadFilePrefix(dir + "/f", 3).status().IsIoError());
+  auto again = env.ReadFilePrefix(dir + "/f", 3);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(*again, "pay");
+  EXPECT_EQ(env.ops(FaultOp::kRead), 2u);
+}
+
 TEST(FaultEnvTest, ReadFaultIsACountedCacheMiss) {
   FaultInjectingEnv env(Env::Default());
   RetryPolicy policy;
