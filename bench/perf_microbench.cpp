@@ -2,7 +2,7 @@
 //  - annotateSchema throughput vs database size (the paper's linearity claim)
 //  - importance iteration cost vs neighborhood factor p
 //  - affinity / coverage matrix construction, walk-bound and thread ablations
-//  - dominance computation
+//  - dominance computation on XMark and on a ~2k-element scenario
 //  - end-to-end summarize latency (the paper: "within 5 minutes")
 //
 // Emits machine-readable JSON via the standard google-benchmark flags
@@ -24,6 +24,7 @@
 #include "common/parallel.h"
 #include "core/summarize.h"
 #include "datasets/mimi.h"
+#include "datasets/scenario.h"
 #include "datasets/xmark.h"
 #include "stats/annotate.h"
 
@@ -176,6 +177,55 @@ void BM_Dominance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Dominance)->Unit(benchmark::kMillisecond);
+
+/// Dominance alone on the shape of perfbench's wide_schema workload (its
+/// variant 0 spec): ~2k elements with value links, where the Theorem 1 sums
+/// take tens of ms; on XMark they take under one (arg = threads).
+void BM_DominanceWide(benchmark::State& state) {
+  struct Input {
+    SchemaGraph schema;
+    Annotations annotations;
+    CoverageMatrix coverage;
+  };
+  static const Input* input = [] {
+    ScenarioSpec spec;
+    spec.name = "wide";
+    spec.seed = 101;
+    spec.schema_elements = 2000;
+    spec.entity_classes = 24;
+    spec.max_depth = 12;
+    spec.set_fraction = 0.28;
+    spec.value_link_fraction = 0.08;
+    spec.instance_units = 4000;
+    spec.unit_skew = "zipf";
+    spec.zipf_s = 1.2;
+    spec.set_mean = 3.5;
+    spec.max_unit_nodes = 512;
+    spec.mutate_seed = 1;
+    spec.mutate_fraction = 0.5;
+    auto ds = ScenarioDataset::Make(spec);
+    SSUM_CHECK(ds.ok(), ds.status().ToString());
+    auto ann = AnnotateSchemaSharded(*ds->MakeShardedSource());
+    SSUM_CHECK(ann.ok(), ann.status().ToString());
+    EdgeMetrics metrics = EdgeMetrics::Compute(ds->schema(), *ann);
+    CoverageMatrix coverage =
+        CoverageMatrix::Compute(ds->schema(), *ann, metrics);
+    return new Input{ds->schema(), std::move(*ann), std::move(coverage)};
+  }();
+  ParallelOptions parallel;
+  parallel.threads = static_cast<uint32_t>(state.range(0));
+  size_t pairs = 0;
+  for (auto _ : state) {
+    auto d = TryComputeDominance(input->schema, input->annotations,
+                                 input->coverage, parallel);
+    SSUM_CHECK(d.ok(), d.status().ToString());
+    pairs = d->pairs.size();
+    benchmark::DoNotOptimize(d);
+  }
+  state.counters["elements"] = static_cast<double>(input->schema.size());
+  state.counters["pairs"] = static_cast<double>(pairs);
+}
+BENCHMARK(BM_DominanceWide)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_SummarizeEndToEnd(benchmark::State& state) {
   const XMarkDataset& ds = SharedXMark(0.05);

@@ -8,39 +8,58 @@ namespace ssum {
 
 namespace {
 
-/// Theorem 1's sums C1 and C2 for up to kGroup dominator candidates `e1s`
-/// against one e2, in one pass over row e2 and the e1 rows. Each pair keeps
-/// its own accumulators in element order; adding +0.0 where by2 <= by1
-/// leaves a sum unchanged (sums start at +0.0 and coverage entries are never
-/// -0.0), so the select matches the branchy per-pair loop bit for bit.
-constexpr size_t kGroup = 8;
+/// Two pairs' accumulators, one per lane, and the all-ones/all-zeros lane
+/// mask that a comparison of them yields (GCC/Clang vector extensions).
+using Lanes = double __attribute__((vector_size(16)));
+using LaneMask = decltype(Lanes{} > Lanes{});
 
+/// `x` in the lanes where `mask` is set, +0.0 elsewhere.
+inline Lanes Masked(LaneMask mask, Lanes x) {
+  return reinterpret_cast<Lanes>(mask & reinterpret_cast<LaneMask>(x));
+}
+
+/// Theorem 1's sums C1 and C2 for kWidth dominator candidates `e1s` against
+/// one e2, in one pass over row e2 and the e1 rows. Lane j of every vector
+/// is one pair's sum in element order. Where by2 > by1 fails the mask clears
+/// both addends to +0.0, which leaves a sum unchanged (sums start at +0.0
+/// and coverage entries are never -0.0), so each lane matches the branchy
+/// per-pair loop of Dominates bit for bit; the loop body has no
+/// data-dependent branch, and kWidth / 2 pairs of accumulators stay in
+/// registers.
+template <size_t kWidth>
 void TheoremOneSums(const SchemaGraph& graph, const CoverageMatrix& coverage,
-                    const ElementId* e1s, size_t count, ElementId e2,
-                    double* c1, double* c2) {
+                    const ElementId* e1s, ElementId e2, double* c1,
+                    double* c2) {
+  static_assert(kWidth % 2 == 0);
+  constexpr size_t kVectors = kWidth / 2;
   const size_t n = graph.size();
+  const ElementId root = graph.root();
   const double* row2 = coverage.matrix().Row(e2);
-  // Unused slots read row e2 itself: by2 > by2 never holds, so they add
-  // nothing, and the fixed-width inner loop keeps every sum in a register.
-  const double* rows1[kGroup];
-  for (size_t j = 0; j < kGroup; ++j) {
-    rows1[j] = j < count ? coverage.matrix().Row(e1s[j]) : row2;
-  }
-  double s1[kGroup] = {};
-  double s2[kGroup] = {};
-  for (ElementId e = 0; e < n; ++e) {
-    if (e == graph.root()) continue;
-    const double by2 = row2[e];
-    double by1[kGroup];
-    for (size_t j = 0; j < kGroup; ++j) by1[j] = rows1[j][e];
-    for (size_t j = 0; j < kGroup; ++j) {
-      const bool in_e = by2 > by1[j];
-      s1[j] += in_e ? by1[j] : 0.0;
-      s2[j] += in_e ? by2 : 0.0;
+  const double* rows1[kWidth];
+  for (size_t j = 0; j < kWidth; ++j) rows1[j] = coverage.matrix().Row(e1s[j]);
+  Lanes s1[kVectors] = {};
+  Lanes s2[kVectors] = {};
+  auto scan = [&](size_t begin, size_t end) {
+    for (size_t e = begin; e < end; ++e) {
+      const Lanes by2 = {row2[e], row2[e]};
+      for (size_t v = 0; v < kVectors; ++v) {
+        const Lanes by1 = {rows1[2 * v][e], rows1[2 * v + 1][e]};
+        const LaneMask in_e = by2 > by1;
+        s1[v] += Masked(in_e, by1);
+        s2[v] += Masked(in_e, by2);
+      }
+    }
+  };
+  // The root is not in E; skipping it splits the pass instead of testing
+  // every element against it.
+  scan(0, std::min<size_t>(root, n));
+  scan(std::min<size_t>(root + 1, n), n);
+  for (size_t v = 0; v < kVectors; ++v) {
+    for (size_t lane = 0; lane < 2; ++lane) {
+      c1[2 * v + lane] = s1[v][lane];
+      c2[2 * v + lane] = s2[v][lane];
     }
   }
-  std::copy_n(s1, count, c1);
-  std::copy_n(s2, count, c2);
 }
 
 /// Theorem 1's inequalities for e1 (dominator) over e2 != e1, given the
@@ -152,18 +171,27 @@ Result<DominanceResult> TryComputeDominance(const SchemaGraph& graph,
         if (e == graph.root()) return;
         std::vector<ElementId> ancestors = ExtendedAncestors(graph, e);
         std::erase(ancestors, graph.root());
-        // Groups of up to kGroup ancestors share one pass over row e.
-        double c1[kGroup];
-        double c2[kGroup];
-        for (size_t g = 0; g < ancestors.size(); g += kGroup) {
-          const size_t count = std::min(kGroup, ancestors.size() - g);
-          TheoremOneSums(graph, coverage, ancestors.data() + g, count, e, c1,
-                         c2);
+        // Groups of up to 8 ancestors share one pass over row e. A group of
+        // fewer runs at the narrowest width of 8, 4 or 2 that holds it; a
+        // spare slot reads row e itself, where by2 > by2 never holds.
+        double c1[8];
+        double c2[8];
+        for (size_t g = 0; g < ancestors.size(); g += 8) {
+          const size_t count = std::min<size_t>(8, ancestors.size() - g);
+          ElementId group[8];
+          std::fill(std::copy_n(ancestors.data() + g, count, group), group + 8,
+                    e);
+          if (count > 4) {
+            TheoremOneSums<8>(graph, coverage, group, e, c1, c2);
+          } else if (count > 2) {
+            TheoremOneSums<4>(graph, coverage, group, e, c1, c2);
+          } else {
+            TheoremOneSums<2>(graph, coverage, group, e, c1, c2);
+          }
           for (size_t j = 0; j < count; ++j) {
-            const ElementId anc = ancestors[g + j];
-            if (TheoremOneHolds(annotations, coverage, anc, e, c1[j], c2[j],
-                                ec[anc], ec_cov[anc])) {
-              dominators[e].push_back(anc);
+            if (TheoremOneHolds(annotations, coverage, group[j], e, c1[j],
+                                c2[j], ec[group[j]], ec_cov[group[j]])) {
+              dominators[e].push_back(group[j]);
             }
           }
         }

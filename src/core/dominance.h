@@ -48,8 +48,11 @@ bool Dominates(const SchemaGraph& graph, const Annotations& annotations,
 ///
 /// Every element's e_c is computed once, in one row-major pass over the
 /// coverage matrix. Each element's extended ancestors are then tested in
-/// groups of up to 8 in one pass over its own coverage row, with per-pair
-/// sums in element order, so the sums equal Dominates' bit for bit.
+/// groups of 8 in one pass over its own coverage row; the last group runs
+/// at the narrowest of 8, 4 or 2 slots that holds it. The pass is branch
+/// free: each pair's C1/C2 sits in one lane of a two-lane vector and takes a
+/// masked addend per element, in element order, so the sums equal
+/// Dominates' bit for bit.
 /// Elements are scanned in parallel per `parallel`, each into its own pair
 /// slot, and the slots are concatenated in element order: `pairs` is
 /// identical (order included) at every thread count, and equal to the

@@ -215,15 +215,13 @@ Result<Annotations> DecodeAnnotations(const SchemaGraph& graph,
 
 std::string EncodeSquareMatrix(const SquareMatrix& matrix) {
   const size_t n = matrix.size();
-  std::string payload(8 + 8 * n * n, '\0');
-  char* at = payload.data();
+  ContainerWriter writer(PayloadKind::kSquareMatrix);
+  char* at = writer.ReserveSection(kSecMatrix, 8 + 8 * n * n);
   StoreU64(at, n);
   for (double v : matrix.data()) {
     at += 8;
     StoreU64(at, std::bit_cast<uint64_t>(v));
   }
-  ContainerWriter writer(PayloadKind::kSquareMatrix);
-  writer.AddSection(kSecMatrix, payload);
   return std::move(writer).Finish();
 }
 

@@ -173,19 +173,29 @@ ContainerWriter::ContainerWriter(uint32_t payload_kind,
 }
 
 void ContainerWriter::AddSection(uint32_t tag, std::string_view payload) {
+  char* at = ReserveSection(tag, payload.size());
+  if (!payload.empty()) std::memcpy(at, payload.data(), payload.size());
+}
+
+char* ContainerWriter::ReserveSection(uint32_t tag, size_t size) {
   // Room for this section and the trailer, so a container with one large
   // section is built with a single allocation and no regrowth copy.
-  out_.reserve(out_.size() + kContainerSectionOverhead + payload.size() +
+  out_.reserve(out_.size() + kContainerSectionOverhead + size +
                kContainerTrailerSize);
   AppendU32(out_, tag);
-  AppendU64(out_, payload.size());
-  out_.append(payload);
-  AppendU32(out_, Crc32c(payload));
-  ++section_count_;
+  AppendU64(out_, size);
+  const size_t offset = out_.size();
+  out_.resize(offset + size + 4);
+  sections_.push_back({offset, size});
+  return out_.data() + offset;
 }
 
 std::string ContainerWriter::Finish() && {
-  StoreU32(out_.data() + 16, section_count_);
+  for (const Section& section : sections_) {
+    StoreU32(out_.data() + section.offset + section.size,
+             Crc32c(out_.data() + section.offset, section.size));
+  }
+  StoreU32(out_.data() + 16, static_cast<uint32_t>(sections_.size()));
   StoreU32(out_.data() + 20, Crc32c(out_.data(), 20));
   AppendU64(out_, out_.size() + kContainerTrailerSize);
   AppendU32(out_, Crc32c(out_));

@@ -101,8 +101,9 @@ Result<ContainerInfo> PeekContainer(std::string_view bytes);
 Result<Container> ParseContainer(std::string_view bytes);
 
 /// Builds containers. Sections are appended in order straight into the
-/// output buffer; Finish() seals the section count, header CRC and trailer
-/// and returns that buffer, so each payload byte is copied once.
+/// output buffer; Finish() takes the section CRCs, seals the section count,
+/// header CRC and trailer and returns that buffer, so each payload byte is
+/// copied at most once.
 class ContainerWriter {
  public:
   /// `format_version` is overridable only to fabricate version-skew
@@ -114,14 +115,26 @@ class ContainerWriter {
 
   void AddSection(uint32_t tag, std::string_view payload);
 
+  /// Appends a section of `size` payload bytes for the caller to fill in
+  /// place and returns where they start, so an encoder that knows its size
+  /// up front writes straight into the container. The pointer is valid
+  /// until the next call on the writer; the bytes must be final by Finish.
+  char* ReserveSection(uint32_t tag, size_t size);
+
   /// Seals and returns the container bytes. The writer is consumed.
   std::string Finish() &&;
 
  private:
-  uint32_t section_count_ = 0;
+  struct Section {
+    size_t offset;  // of the payload in out_
+    size_t size;
+  };
+
   // The container being built: the header (count and CRC still zero until
-  // Finish) followed by every section appended so far.
+  // Finish) followed by every section appended so far, each with its CRC
+  // slot still zero.
   std::string out_;
+  std::vector<Section> sections_;
 };
 
 /// Writes `bytes` to `path` atomically and durably through `env`: write to

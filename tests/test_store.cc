@@ -93,6 +93,27 @@ TEST(ContainerTest, RoundTrip) {
   EXPECT_TRUE(parsed->Section(42).status().IsNotFound());
 }
 
+TEST(ContainerTest, ReservedSectionsMatchCopiedSections) {
+  // A section filled in place, before and after a copied one, gives the
+  // same bytes as the same sections copied in.
+  ContainerWriter w(PayloadKind::kAnnotations);
+  std::memcpy(w.ReserveSection(7, 5), "hello", 5);
+  w.AddSection(9, std::string("\x00\x01\x02", 3));
+  w.ReserveSection(11, 0);
+  std::memcpy(w.ReserveSection(13, 2), "ok", 2);
+  ContainerWriter copied(PayloadKind::kAnnotations);
+  copied.AddSection(7, "hello");
+  copied.AddSection(9, std::string("\x00\x01\x02", 3));
+  copied.AddSection(11, "");
+  copied.AddSection(13, "ok");
+  const std::string bytes = std::move(w).Finish();
+  EXPECT_EQ(bytes, std::move(copied).Finish());
+  auto parsed = ParseContainer(bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->sections.size(), 4u);
+  EXPECT_EQ(parsed->sections[3].payload, "ok");
+}
+
 TEST(ContainerTest, EmptyContainerRoundTrips) {
   std::string bytes = ContainerWriter(PayloadKind::kSummary).Finish();
   EXPECT_EQ(bytes.size(), kContainerHeaderSize + kContainerTrailerSize);
