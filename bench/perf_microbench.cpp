@@ -3,6 +3,7 @@
 //  - importance iteration cost vs neighborhood factor p
 //  - affinity / coverage matrix construction, walk-bound and thread ablations
 //  - dominance computation on XMark and on a ~2k-element scenario
+//  - MaxCoverage's exact search on MiMI and XMark
 //  - end-to-end summarize latency (the paper: "within 5 minutes")
 //
 // Emits machine-readable JSON via the standard google-benchmark flags
@@ -18,12 +19,14 @@
 #include <cstring>
 #include <map>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/buildinfo.h"
 #include "common/parallel.h"
 #include "core/summarize.h"
 #include "datasets/mimi.h"
+#include "datasets/registry.h"
 #include "datasets/scenario.h"
 #include "datasets/xmark.h"
 #include "stats/annotate.h"
@@ -269,6 +272,43 @@ void BM_SummarizeMimi(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SummarizeMimi)->Unit(benchmark::kMillisecond);
+
+/// MaxCoverage's exact search alone (Figure 6 inside the enumeration
+/// budget) on a prebuilt context: arg 0 picks MiMI at k = 5 (C(30,5) =
+/// 142,506 sets) or XMark at k = 3 (C(87,3) = 105,995 sets), arg 1 is the
+/// thread count.
+void BM_MaxCoverageExact(benchmark::State& state) {
+  struct Input {
+    DatasetBundle bundle;
+    size_t k;
+  };
+  static Input* inputs[2] = {};
+  const size_t which = static_cast<size_t>(state.range(0));
+  if (inputs[which] == nullptr) {
+    const DatasetKind kind = which == 0 ? DatasetKind::kMimi
+                                        : DatasetKind::kXMark;
+    auto bundle = LoadDataset(kind);
+    SSUM_CHECK(bundle.ok(), bundle.status().ToString());
+    inputs[which] = new Input{std::move(*bundle), which == 0 ? 5u : 3u};
+  }
+  const Input& input = *inputs[which];
+  SummarizeOptions options;
+  options.parallel.threads = static_cast<uint32_t>(state.range(1));
+  auto context = SummarizerContext::Make(input.bundle.schema,
+                                         input.bundle.annotations, options);
+  SSUM_CHECK(context.ok(), context.status().ToString());
+  for (auto _ : state) {
+    auto selected = SelectMaxCoverage(*context, input.k);
+    SSUM_CHECK(selected.ok(), selected.status().ToString());
+    benchmark::DoNotOptimize(selected);
+  }
+  state.SetLabel(input.bundle.name + " k=" + std::to_string(input.k));
+  state.counters["candidates"] =
+      static_cast<double>(context->dominance().candidates.size());
+}
+BENCHMARK(BM_MaxCoverageExact)
+    ->ArgsProduct({{0, 1}, {1, 4}})
+    ->Unit(benchmark::kMillisecond);
 
 /// Shared fixture for the walk-engine head-to-head: the MiMI schema (the
 /// largest evaluated graph) with Formula 2 affinity factors.

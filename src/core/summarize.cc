@@ -201,142 +201,7 @@ Status CheckK(const SchemaGraph& graph, size_t k) {
   return Status::OK();
 }
 
-/// Advances a k-subset index vector over n candidates one step in
-/// lexicographic order. Returns false at the last combination.
-bool AdvanceCombination(std::vector<size_t>& idx, size_t n) {
-  const size_t k = idx.size();
-  size_t i = k;
-  while (i > 0) {
-    --i;
-    if (idx[i] != i + n - k) {
-      ++idx[i];
-      for (size_t j = i + 1; j < k; ++j) idx[j] = idx[j - 1] + 1;
-      return true;
-    }
-  }
-  return false;
-}
-
-/// C(n, k) exactly. Callers only pass arguments whose result is bounded by
-/// the enumeration budget, so the partial products (themselves binomials)
-/// cannot overflow.
-uint64_t Binomial(uint64_t n, uint64_t k) {
-  if (k > n) return 0;
-  k = std::min(k, n - k);
-  uint64_t result = 1;
-  for (uint64_t i = 1; i <= k; ++i) result = result * (n - k + i) / i;
-  return result;
-}
-
-/// Index vector of the k-subset of n candidates with lexicographic rank
-/// `rank` (combinatorial number system). This is what lets the exact
-/// enumeration shard into contiguous rank ranges.
-std::vector<size_t> UnrankCombination(size_t n, size_t k, uint64_t rank) {
-  std::vector<size_t> idx(k);
-  size_t next = 0;
-  for (size_t i = 0; i < k; ++i) {
-    size_t c = next;
-    for (;;) {
-      // Combinations that fix position i to candidate c.
-      uint64_t with_c = Binomial(n - 1 - c, k - 1 - i);
-      if (rank < with_c) break;
-      rank -= with_c;
-      ++c;
-    }
-    idx[i] = c;
-    next = c + 1;
-  }
-  return idx;
-}
-
-struct ShardBest {
-  double cov = -1.0;
-  std::vector<size_t> idx;  // lexicographic tie-break key
-};
-
-/// Evaluates `count` combinations in lexicographic order starting at `idx`,
-/// keeping the first maximum encountered (the serial rule). The deadline is
-/// checked every 4096 combinations — a shard can hold the whole rank space
-/// (serial scan), so the per-chunk check in ParallelForChunked is not
-/// granular enough on its own. On expiry `*status` is set and the partial
-/// best is returned (the caller discards it).
-ShardBest ScanCombinations(const SummarizerContext& context,
-                           const std::vector<ElementId>& cands,
-                           std::vector<size_t> idx, uint64_t count,
-                           Status* status) {
-  const Deadline& deadline = context.options().parallel.deadline;
-  const size_t k = idx.size();
-  ShardBest best;
-  std::vector<ElementId> cur(k);
-  for (uint64_t it = 0; it < count; ++it) {
-    if ((it & 0xFFFu) == 0u) {
-      *status = deadline.Check("MaxCoverage enumeration");
-      if (!status->ok()) return best;
-    }
-    for (size_t i = 0; i < k; ++i) cur[i] = cands[idx[i]];
-    double cov = CoverageOfSet(context.graph(), context.affinity(),
-                               context.coverage(), cur);
-    if (cov > best.cov) {
-      best.cov = cov;
-      best.idx = idx;
-    }
-    if (!AdvanceCombination(idx, cands.size())) break;
-  }
-  return best;
-}
-
-/// Exact enumeration of all `total` k-subsets of `cands`, sharded into
-/// contiguous lexicographic rank ranges scanned in parallel. Shard winners
-/// are reduced in rank order with ties broken toward the lexicographically
-/// smaller index vector — exactly the serial loop's "first maximum wins"
-/// rule, so every thread count selects the same set.
-Result<std::vector<ElementId>> ExactMaxCoverage(
-    const SummarizerContext& context, const std::vector<ElementId>& cands,
-    size_t k, uint64_t total) {
-  const size_t n = cands.size();
-  // Sharding only pays when each shard has its own core: requesting more
-  // threads than the hardware offers just adds scheduling overhead on top of
-  // an unchanged serial scan (a 0.58x slowdown at 4 requested threads on a
-  // 1-core host). Clamp the enumeration width to the
-  // hardware, scan serially when the rank space is too small to amortize the
-  // pool, and cut ~4 shards per thread otherwise. Shard boundaries depend
-  // only on the total and the grain, and the reduction is order-independent,
-  // so none of this affects the selected set.
-  const uint64_t width =
-      std::min<uint64_t>(ResolveThreadCount(context.options().parallel.threads),
-                         HardwareThreadCount());
-  constexpr uint64_t kSerialScanThreshold = 16384;
-  const uint64_t grain = (width <= 1 || total < kSerialScanThreshold)
-                             ? total
-                             : total / (width * 4) + 1;
-  std::vector<ShardBest> shards(ParallelNumChunks(0, total, grain));
-  std::vector<Status> shard_status(shards.size());
-  ParallelOptions shard_options = context.options().parallel;
-  shard_options.threads = static_cast<uint32_t>(width);
-  Status st = ParallelForChunked(
-      0, static_cast<size_t>(total), static_cast<size_t>(grain),
-      [&](size_t shard, size_t rank_begin, size_t rank_end) {
-        shards[shard] =
-            ScanCombinations(context, cands, UnrankCombination(n, k, rank_begin),
-                             rank_end - rank_begin, &shard_status[shard]);
-      },
-      shard_options);
-  SSUM_RETURN_NOT_OK(st);
-  for (const Status& s : shard_status) SSUM_RETURN_NOT_OK(s);
-  ShardBest best;
-  for (const ShardBest& s : shards) {
-    if (s.idx.empty()) continue;
-    if (s.cov > best.cov ||
-        (s.cov == best.cov && (best.idx.empty() || s.idx < best.idx))) {
-      best = s;
-    }
-  }
-  std::vector<ElementId> out(k);
-  for (size_t i = 0; i < k; ++i) out[i] = cands[best.idx[i]];
-  return out;
-}
-
-/// Page-backed scratch for GreedyMaxCoverage's candidate panels, taken from
+/// Page-backed scratch for the candidate panels of TrialPass, taken from
 /// and returned to the OS directly. The panels are large and short-lived.
 /// Through the allocator, a freed block that size raises glibc's mmap
 /// threshold, so later panels land in a per-thread heap that is never
@@ -364,116 +229,206 @@ class PageBuffer {
   double* data_ = nullptr;
 };
 
-/// Greedy fallback of Figure 6: each round adds the candidate whose
-/// insertion yields the highest CoverageOfSet, the first maximum in
-/// candidate order winning.
+/// The trial pass of Figure 6's searches, shared by the exact search and the
+/// greedy fallback.
 ///
-/// Every element carries CoverageOfSet's running state for `chosen` (member
-/// flag and MemberChoice), and each pick is folded into it once. The trial
-/// set `chosen + {c}` offers c last, so its value is one pass that offers c
-/// to each element's state and sums the contributions in element order:
-/// bit-identical to CoverageOfSet(chosen + {c}) at O(n) instead of O(|S| n).
+/// A search keeps CoverageOfSet's running state for its member set: one
+/// MemberChoice per element, folded in by AddMember in set order. A member
+/// is its own choice with affinity +inf, which nothing takes over, covering
+/// itself with C(e -> e). The trial set `members + {c}` offers c last, so
+/// its value is one pass that offers c to each element's state and sums the
+/// contributions in element order: bit-identical to CoverageOfSet(members +
+/// {c}) at O(n) instead of O(|S| n).
 ///
 /// The pass reads A(e -> c_i) and C(c_i -> e) for every candidate, so both
-/// are packed once per call into element-major panels of m = |cands|
-/// doubles per element: each round streams contiguous rows and the
-/// take-over select vectorizes across candidates. A candidate covers itself
-/// with C(e -> e); its slot in row e holds +inf affinity, which TakesOver
-/// always accepts, next to that coverage. The panels take 2 m n doubles and
-/// are freed on return.
+/// are packed once into element-major panels of m = |cands| doubles per
+/// element: a pass streams contiguous rows and the take-over select
+/// vectorizes across candidates. A candidate covers itself with C(e -> e);
+/// its slot in row e holds +inf affinity, which TakesOver always accepts,
+/// next to that coverage. The panels take 2 m n doubles.
+class TrialPass {
+ public:
+  TrialPass(const SummarizerContext& context,
+            const std::vector<ElementId>& cands)
+      : affinity_(context.affinity()),
+        coverage_(context.coverage()),
+        root_(context.graph().root()),
+        n_(context.graph().size()),
+        m_(cands.size()),
+        pa_buffer_(n_ * m_),
+        pc_buffer_(n_ * m_),
+        pa_(pa_buffer_.data()),
+        pc_(pc_buffer_.data()) {
+    for (ElementId e = 0; e < n_; ++e) {
+      const double* arow = affinity_.matrix().Row(e);
+      for (size_t i = 0; i < m_; ++i) pa_[e * m_ + i] = arow[cands[i]];
+    }
+    for (size_t i = 0; i < m_; ++i) {
+      const double* crow = coverage_.matrix().Row(cands[i]);
+      for (ElementId e = 0; e < n_; ++e) pc_[e * m_ + i] = crow[e];
+      pa_[cands[i] * m_ + i] = kSelfAffinity;
+    }
+  }
+
+  /// Folds member `s` into `state`, after the members already in it.
+  void AddMember(ElementId s, std::vector<MemberChoice>& state) const {
+    for (ElementId e = 0; e < n_; ++e) {
+      OfferMember(affinity_, coverage_, e, s, state[e]);
+    }
+    state[s] = {s, kSelfAffinity, coverage_.At(s, s)};
+  }
+
+  /// cov[i] = CoverageOfSet(members + {cands[i]}) for i in [begin, end).
+  /// A slot whose candidate is already a member gets a value nobody may
+  /// read; skipping it would cost a test per element.
+  void Score(const std::vector<MemberChoice>& state, size_t begin, size_t end,
+             double* cov) const {
+    double* const sum = cov + begin;
+    const size_t width = end - begin;
+    std::fill(sum, sum + width, 0.0);
+    for (ElementId e = 0; e < n_; ++e) {
+      if (e == root_) continue;
+      // A select instead of a branch, since whether c takes over follows no
+      // pattern a predictor can learn. With no member yet, cur.coverage is
+      // +0.0, and adding it leaves the sum (which starts at +0.0)
+      // bit-for-bit unchanged, as CoverageOfSet's skip does.
+      const MemberChoice cur = state[e];
+      const double* a = pa_ + e * m_ + begin;
+      const double* v = pc_ + e * m_ + begin;
+      for (size_t i = 0; i < width; ++i) {
+        sum[i] += TakesOver(cur, a[i], v[i]) ? v[i] : cur.coverage;
+      }
+    }
+  }
+
+ private:
+  static constexpr double kSelfAffinity =
+      std::numeric_limits<double>::infinity();
+
+  const AffinityMatrix& affinity_;
+  const CoverageMatrix& coverage_;
+  const ElementId root_;
+  const size_t n_;
+  const size_t m_;
+  PageBuffer pa_buffer_;  // pa[e m + i] = A(e -> c_i)
+  PageBuffer pc_buffer_;  // pc[e m + i] = C(c_i -> e)
+  double* const pa_;
+  double* const pc_;
+};
+
+/// Exact search of Figure 6: the best of all C(m, k) k-subsets of `cands`
+/// in lexicographic order of candidate index, the first strict maximum
+/// winning, returned in candidate order. A depth-first walk over the
+/// (k-1)-prefixes keeps one state per depth, its parent's plus one
+/// AddMember, and one serial trial pass scores every last member after the
+/// prefix's last index: O(n) per set instead of CoverageOfSet's O(k n). The
+/// deadline is checked once per prefix.
+Result<std::vector<ElementId>> ExactMaxCoverage(
+    const SummarizerContext& context, const std::vector<ElementId>& cands,
+    size_t k) {
+  const Deadline& deadline = context.options().parallel.deadline;
+  const size_t m = cands.size();
+  const TrialPass pass(context, cands);
+  std::vector<std::vector<MemberChoice>> states(
+      k, std::vector<MemberChoice>(context.graph().size()));
+  std::vector<size_t> idx(k);
+  std::vector<size_t> best_idx(k);
+  double best_cov = -1.0;
+  std::vector<double> cov(m);
+  // Visits every completion of idx[0..depth) by indices from `from` on, in
+  // lexicographic order; states[d] holds the members idx[0..d).
+  auto visit = [&](auto& self, size_t depth, size_t from) -> Status {
+    if (depth + 1 == k) {
+      SSUM_RETURN_NOT_OK(deadline.Check("MaxCoverage enumeration"));
+      pass.Score(states[depth], from, m, cov.data());
+      for (size_t j = from; j < m; ++j) {
+        if (cov[j] > best_cov) {
+          best_cov = cov[j];
+          idx[depth] = j;
+          best_idx = idx;
+        }
+      }
+      return Status::OK();
+    }
+    // Leave room for the k - 1 - depth members after this one.
+    for (size_t i = from; i + (k - 1 - depth) < m; ++i) {
+      idx[depth] = i;
+      states[depth + 1] = states[depth];
+      pass.AddMember(cands[i], states[depth + 1]);
+      SSUM_RETURN_NOT_OK(self(self, depth + 1, i + 1));
+    }
+    return Status::OK();
+  };
+  SSUM_RETURN_NOT_OK(visit(visit, 0, 0));
+  std::vector<ElementId> out(k);
+  for (size_t i = 0; i < k; ++i) out[i] = cands[best_idx[i]];
+  return out;
+}
+
+/// Greedy fallback of Figure 6: each round adds the candidate whose
+/// insertion yields the highest CoverageOfSet, the first maximum in
+/// candidate order winning. Insertions are independent within a round, so
+/// the trial pass runs over 128-candidate chunks in parallel and the
+/// reduction in candidate order keeps the serial rule.
 Result<std::vector<ElementId>> GreedyMaxCoverage(
     const SummarizerContext& context, const std::vector<ElementId>& cands,
     size_t k) {
   SSUM_RETURN_NOT_OK(
       context.options().parallel.deadline.Check("MaxCoverage greedy"));
-  const SchemaGraph& graph = context.graph();
-  const AffinityMatrix& affinity = context.affinity();
-  const CoverageMatrix& coverage = context.coverage();
-  const size_t n = graph.size();
   const size_t m = cands.size();
-  PageBuffer pa_buffer(n * m);  // pa[e m + i] = A(e -> c_i)
-  PageBuffer pc_buffer(n * m);  // pc[e m + i] = C(c_i -> e)
-  double* const pa = pa_buffer.data();
-  double* const pc = pc_buffer.data();
-  for (ElementId e = 0; e < n; ++e) {
-    const double* arow = affinity.matrix().Row(e);
-    for (size_t i = 0; i < m; ++i) pa[e * m + i] = arow[cands[i]];
-  }
-  for (size_t i = 0; i < m; ++i) {
-    const double* crow = coverage.matrix().Row(cands[i]);
-    for (ElementId e = 0; e < n; ++e) pc[e * m + i] = crow[e];
-    pa[cands[i] * m + i] = std::numeric_limits<double>::infinity();
-  }
+  const TrialPass pass(context, cands);
+  std::vector<MemberChoice> state(context.graph().size());
+  std::vector<bool> picked(m, false);
+  std::vector<double> cov(m);
   std::vector<ElementId> chosen;
   chosen.reserve(k);
-  std::vector<bool> used(n, false);  // the member flag of every element
-  std::vector<MemberChoice> best_member(n);
-  std::vector<double> cov(m);
   for (size_t round = 0; round < k; ++round) {
-    // Candidate insertions are independent within a round: evaluate them in
-    // parallel into per-candidate slots, then reduce in candidate order
-    // (identical to the serial loop's first-maximum rule).
     Status st = ParallelForChunked(
         0, m, /*grain=*/128,
         [&](size_t, size_t begin, size_t end) {
-          // Slots of already chosen candidates fill with values nobody
-          // reads; skipping them would cost a test per element.
-          double* const sum = cov.data() + begin;
-          const size_t width = end - begin;
-          std::fill(sum, sum + width, 0.0);
-          for (ElementId e = 0; e < n; ++e) {
-            if (e == graph.root()) continue;
-            if (used[e]) {
-              const double self = coverage.At(e, e);
-              for (size_t i = 0; i < width; ++i) sum[i] += self;
-              continue;
-            }
-            // A select instead of a branch, since whether c takes over
-            // follows no pattern a predictor can learn. With no member
-            // yet, cur.coverage is +0.0, and adding it leaves the sum
-            // (which starts at +0.0) bit-for-bit unchanged, as
-            // CoverageOfSet's skip does.
-            const MemberChoice cur = best_member[e];
-            const double* a = pa + e * m + begin;
-            const double* v = pc + e * m + begin;
-            for (size_t i = 0; i < width; ++i) {
-              sum[i] += TakesOver(cur, a[i], v[i]) ? v[i] : cur.coverage;
-            }
-          }
+          pass.Score(state, begin, end, cov.data());
         },
         context.options().parallel);
     SSUM_RETURN_NOT_OK(st);
-    ElementId best = kInvalidElement;
+    size_t best = m;
     double best_cov = -1.0;
     for (size_t i = 0; i < m; ++i) {
-      if (used[cands[i]]) continue;
-      if (cov[i] > best_cov) {
+      if (!picked[i] && cov[i] > best_cov) {
         best_cov = cov[i];
-        best = cands[i];
+        best = i;
       }
     }
-    if (best == kInvalidElement) break;
-    chosen.push_back(best);
-    used[best] = true;
-    for (ElementId e = 0; e < n; ++e) {
-      if (e == graph.root() || used[e]) continue;
-      OfferMember(affinity, coverage, e, best, best_member[e]);
-    }
+    if (best == m) break;
+    picked[best] = true;
+    chosen.push_back(cands[best]);
+    pass.AddMember(cands[best], state);
   }
   return chosen;
 }
 
-/// C(n, k) with saturation.
-uint64_t BinomialCapped(uint64_t n, uint64_t k, uint64_t cap) {
-  if (k > n) return 0;
+/// Whether C(n, k) <= budget, for k <= n. The running product after step i
+/// is C(n - k + i, i), which only grows toward C(n, k), so the first one
+/// over the budget decides; 128-bit products keep every budget up to
+/// UINT64_MAX exact.
+bool WithinBudget(uint64_t n, uint64_t k, uint64_t budget) {
   k = std::min(k, n - k);
-  uint64_t result = 1;
+  unsigned __int128 sets = 1;
   for (uint64_t i = 1; i <= k; ++i) {
-    // result *= (n - k + i) / i, with overflow guard against the cap.
-    if (result > cap) return cap + 1;
-    result = result * (n - k + i) / i;
+    sets = sets * (n - k + i) / i;
+    if (sets > budget) return false;
   }
-  return std::min(result, cap + 1);
+  return true;
+}
+
+/// Fills `out` up to k with the non-root elements it lacks, in id order:
+/// the candidates (or the sketches' picks) can run out before k.
+std::vector<ElementId> TopUp(const SchemaGraph& graph,
+                             std::vector<ElementId> out, size_t k) {
+  for (ElementId e = 0; e < graph.size() && out.size() < k; ++e) {
+    if (e == graph.root()) continue;
+    if (std::find(out.begin(), out.end(), e) == out.end()) out.push_back(e);
+  }
+  return out;
 }
 
 }  // namespace
@@ -499,16 +454,8 @@ Result<std::vector<ElementId>> SelectMaxCoverage(
     const SummarizerContext& context, size_t k) {
   SSUM_RETURN_NOT_OK(CheckK(context.graph(), k));
   const std::vector<ElementId>& cands = context.dominance().candidates;
-  if (cands.size() <= k) {
-    // Degenerate: everything non-dominated fits; top up with dominated
-    // elements by coverage-of-self to reach k.
-    std::vector<ElementId> out = cands;
-    for (ElementId e = 0; e < context.graph().size() && out.size() < k; ++e) {
-      if (e == context.graph().root()) continue;
-      if (std::find(out.begin(), out.end(), e) == out.end()) out.push_back(e);
-    }
-    return out;
-  }
+  // Degenerate: everything non-dominated fits; dominated elements fill up.
+  if (cands.size() <= k) return TopUp(context.graph(), cands, k);
   if (context.options().mode == SummaryMode::kApprox) {
     ApproxCoverOptions approx;
     approx.epsilon = context.options().approx_epsilon;
@@ -517,18 +464,12 @@ Result<std::vector<ElementId>> SelectMaxCoverage(
     SSUM_ASSIGN_OR_RETURN(out, TryApproxMaxCoverage(context.graph(),
                                                     context.coverage(), cands,
                                                     k, approx));
-    // The sketches can run out of positive marginal gain before k; top up
-    // the same way the degenerate branch does.
-    for (ElementId e = 0; e < context.graph().size() && out.size() < k; ++e) {
-      if (e == context.graph().root()) continue;
-      if (std::find(out.begin(), out.end(), e) == out.end()) out.push_back(e);
-    }
-    return out;
+    // The sketches can run out of positive marginal gain before k.
+    return TopUp(context.graph(), std::move(out), k);
   }
-  const uint64_t budget = context.options().max_coverage_enumeration_budget;
-  uint64_t sets = BinomialCapped(cands.size(), k, budget);
-  if (sets <= budget) {
-    return ExactMaxCoverage(context, cands, k, sets);
+  if (WithinBudget(cands.size(), k,
+                   context.options().max_coverage_enumeration_budget)) {
+    return ExactMaxCoverage(context, cands, k);
   }
   SSUM_LOG(kInfo) << "MaxCoverage: C(" << cands.size() << "," << k
                   << ") exceeds enumeration budget; using greedy search";

@@ -46,9 +46,9 @@ struct SummarizeOptions {
   /// MaxCoverage enumerates all C(|CS|, K) candidate sets exactly when the
   /// count is at most this budget; otherwise it falls back to a greedy
   /// marginal-coverage maximizer (DESIGN.md interpretation notes). The
-  /// enumeration is sharded across threads (rank-range decomposition with a
-  /// deterministic reduction), which is what makes a budget this size
-  /// practical; it was 20000 when the scan was serial.
+  /// search scores a set in O(n) through per-prefix states, which is what
+  /// makes a budget this size practical; it was 20000 when the scan was
+  /// serial at O(K n) per set.
   uint64_t max_coverage_enumeration_budget = 200000;
   /// MaxCoverage strategy; kApprox routes SelectMaxCoverage through the
   /// sketched lazy-greedy engine instead of the enumeration above.
@@ -163,9 +163,10 @@ Result<std::vector<ElementId>> SelectMaxImportance(
 
 /// Figure 6: the K-element set with the highest summary coverage among
 /// mutually non-dominated candidates — exact enumeration within budget,
-/// greedy otherwise. The greedy keeps every element's best chosen member
-/// and scores each trial insertion in one O(n) pass, O(K·|CS|·n) in all,
-/// with the same picks as scoring each trial with CoverageOfSet.
+/// greedy otherwise. Both keep every element's best member of the current
+/// set and score a trial insertion in one O(n) pass, with the same picks as
+/// scoring each trial with CoverageOfSet: the exact search O(C(|CS|,K)·n),
+/// the greedy O(K·|CS|·n).
 Result<std::vector<ElementId>> SelectMaxCoverage(
     const SummarizerContext& context, size_t k);
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -186,9 +187,9 @@ TEST(SummarizeTest, DeterministicAcrossRuns) {
   EXPECT_EQ(s1->representative, s2->representative);
 }
 
-/// Thread-count invariance on the real datasets: the sharded exact
-/// enumeration and the parallel kernels must reproduce the serial selection
-/// exactly, element for element.
+/// Thread-count invariance on the real datasets: the exact search (serial
+/// at every thread count), the parallel greedy rounds and the parallel
+/// kernels must reproduce the serial selection exactly, element for element.
 class SummarizeParallelTest : public ::testing::TestWithParam<DatasetKind> {};
 
 TEST_P(SummarizeParallelTest, ExactMaxCoverageSetIsThreadCountInvariant) {
@@ -305,14 +306,45 @@ bool TakesGreedyPath(const SummarizerContext& context, size_t k) {
   return false;
 }
 
+/// The exact enumeration as Figure 6 reads: every k-subset of the
+/// candidates in lexicographic order of candidate index, scored with
+/// CoverageOfSet, the first strict maximum winning. `*best_cov` receives its
+/// value.
+std::vector<ElementId> ReferenceExact(const SummarizerContext& context,
+                                      size_t k, double* best_cov) {
+  const std::vector<ElementId>& cands = context.dominance().candidates;
+  const size_t m = cands.size();
+  std::vector<size_t> idx(k);
+  for (size_t i = 0; i < k; ++i) idx[i] = i;
+  std::vector<ElementId> best;
+  std::vector<ElementId> set(k);
+  *best_cov = -1.0;
+  for (;;) {
+    for (size_t i = 0; i < k; ++i) set[i] = cands[idx[i]];
+    const double cov = CoverageOfSet(context.graph(), context.affinity(),
+                                     context.coverage(), set);
+    if (cov > *best_cov) {
+      *best_cov = cov;
+      best = set;
+    }
+    // Next index vector in lexicographic order.
+    size_t i = k;
+    while (i > 0 && idx[i - 1] == m - k + i - 1) --i;
+    if (i == 0) return best;
+    ++idx[i - 1];
+    for (size_t j = i; j < k; ++j) idx[j] = idx[j - 1] + 1;
+  }
+}
+
 struct GreedyInput {
   std::string name;
   size_t k;
 };
 
-Result<DatasetBundle> LoadGreedyInput(const std::string& name) {
+Result<DatasetBundle> LoadInput(const std::string& name) {
   if (name == "XMark") return LoadDataset(DatasetKind::kXMark, 1.0);
   if (name == "MiMI") return LoadDataset(DatasetKind::kMimi, 1.0);
+  if (name == "Tpch") return LoadDataset(DatasetKind::kTpch, 0.05);
   return LoadScenarioFile(std::string(SSUM_SCENARIO_DIR) + "/quick.scn");
 }
 
@@ -322,7 +354,7 @@ Result<DatasetBundle> LoadGreedyInput(const std::string& name) {
 class GreedyEquivalenceTest : public ::testing::TestWithParam<GreedyInput> {};
 
 TEST_P(GreedyEquivalenceTest, MatchesCoverageOfSetGreedy) {
-  auto bundle = LoadGreedyInput(GetParam().name);
+  auto bundle = LoadInput(GetParam().name);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   const size_t k = GetParam().k;
   std::vector<ElementId> reference;
@@ -442,6 +474,146 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(GreedyInput{"XMark", 10}, GreedyInput{"MiMI", 10},
                       GreedyInput{"QuickScenario", 8}),
     [](const auto& info) { return info.param.name; });
+
+/// True when SelectMaxCoverage takes the exact search: more candidates than
+/// k and C(|CS|, k) within the budget.
+bool TakesExactPath(const SummarizerContext& context, size_t k) {
+  return context.dominance().candidates.size() > k &&
+         !TakesGreedyPath(context, k);
+}
+
+/// SelectMaxCoverage must take the exact search at k and pick what
+/// ReferenceExact picks, in the same order, with the same coverage bit for
+/// bit.
+void ExpectMatchesReferenceExact(const SummarizerContext& context, size_t k) {
+  ASSERT_TRUE(TakesExactPath(context, k));
+  double reference_cov = 0.0;
+  const std::vector<ElementId> reference =
+      ReferenceExact(context, k, &reference_cov);
+  auto selected = SelectMaxCoverage(context, k);
+  ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+  EXPECT_EQ(*selected, reference);
+  EXPECT_EQ(CoverageOfSet(context.graph(), context.affinity(),
+                          context.coverage(), *selected),
+            reference_cov);
+}
+
+struct ExactInput {
+  std::string name;
+  size_t max_k;  ///< k runs over 2..max_k
+};
+
+/// The prefix-state search matches the CoverageOfSet enumeration at every
+/// thread count.
+class ExactEquivalenceTest : public ::testing::TestWithParam<ExactInput> {};
+
+TEST_P(ExactEquivalenceTest, MatchesCoverageOfSetEnumeration) {
+  auto bundle = LoadInput(GetParam().name);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  for (uint32_t threads : {1u, 4u}) {
+    SummarizeOptions options;
+    options.parallel.threads = threads;
+    auto context =
+        SummarizerContext::Make(bundle->schema, bundle->annotations, options);
+    ASSERT_TRUE(context.ok()) << context.status().ToString();
+    for (size_t k = 2; k <= GetParam().max_k; ++k) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " threads=" << threads);
+      ExpectMatchesReferenceExact(*context, k);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, ExactEquivalenceTest,
+    ::testing::Values(ExactInput{"Tpch", 7}, ExactInput{"MiMI", 5},
+                      ExactInput{"XMark", 3}, ExactInput{"QuickScenario", 3}),
+    [](const auto& info) { return info.param.name; });
+
+TEST(ExactMaxCoverageTest, TieFixtureMatchesReferenceAtEveryK) {
+  GreedyTieFixture f;
+  for (uint32_t threads : {1u, 4u}) {
+    SummarizeOptions options;
+    options.parallel.threads = threads;
+    auto context = SummarizerContext::Make(f.schema, f.ann, options);
+    ASSERT_TRUE(context.ok()) << context.status().ToString();
+    const size_t m = context->dominance().candidates.size();
+    ASSERT_GE(m, 3u);
+    for (size_t k = 1; k < m; ++k) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " threads=" << threads);
+      ExpectMatchesReferenceExact(*context, k);
+    }
+  }
+}
+
+/// Two identical entities under the root: every set holding one of them
+/// ties with the set holding the other instead, so only the first-maximum
+/// rule decides between them.
+TEST(ExactMaxCoverageTest, TiesGoToTheFirstSetInLexicographicOrder) {
+  SchemaBuilder b("db");
+  const ElementId first = b.SetRcd(b.Root(), "first");
+  const ElementId first_leaf = b.SetSimple(first, "leaf");
+  const ElementId second = b.SetRcd(b.Root(), "second");
+  const ElementId second_leaf = b.SetSimple(second, "leaf");
+  const SchemaGraph schema = std::move(b).Build();
+  Annotations ann(schema);
+  ann.set_card(schema.root(), 1);
+  for (ElementId e : {first, first_leaf, second, second_leaf}) {
+    ann.set_card(e, 100);
+    ann.set_structural_count(schema.parent_link(e), 100);
+  }
+  auto context = SummarizerContext::Make(schema, ann);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  const std::vector<ElementId>& cands = context->dominance().candidates;
+  ASSERT_GE(cands.size(), 2u);
+  for (size_t k = 1; k < cands.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    ExpectMatchesReferenceExact(*context, k);
+  }
+  // The tie is real: either entity alone covers the same, bit for bit.
+  EXPECT_EQ(
+      CoverageOfSet(schema, context->affinity(), context->coverage(), {first}),
+      CoverageOfSet(schema, context->affinity(), context->coverage(),
+                    {second}));
+}
+
+TEST(ExactMaxCoverageTest, ExpiredDeadlineStopsTheEnumeration) {
+  GreedyTieFixture f;
+  SummarizeOptions options;
+  auto token = std::make_shared<CancelToken>();
+  options.parallel.deadline.AttachCancel(token);
+  auto context = SummarizerContext::Make(f.schema, f.ann, options);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  ASSERT_TRUE(TakesExactPath(*context, 2));
+  token->Cancel();
+  auto selected = SelectMaxCoverage(*context, 2);
+  ASSERT_FALSE(selected.ok());
+  EXPECT_TRUE(selected.status().IsDeadlineExceeded())
+      << selected.status().ToString();
+}
+
+/// A budget of UINT64_MAX admits every enumeration; counting C(|CS|, k)
+/// against it must not overflow into "zero sets".
+TEST(ExactMaxCoverageTest, SaturatedBudgetSelectsWhatTheDefaultSelects) {
+  auto bundle = LoadInput("Tpch");
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  SummarizeOptions saturated_opts;
+  saturated_opts.max_coverage_enumeration_budget =
+      std::numeric_limits<uint64_t>::max();
+  auto saturated = SummarizerContext::Make(bundle->schema,
+                                           bundle->annotations, saturated_opts);
+  ASSERT_TRUE(saturated.ok()) << saturated.status().ToString();
+  auto defaults =
+      SummarizerContext::Make(bundle->schema, bundle->annotations);
+  ASSERT_TRUE(defaults.ok()) << defaults.status().ToString();
+  for (size_t k = 2; k <= 7; ++k) {
+    ASSERT_TRUE(TakesExactPath(*defaults, k)) << "k=" << k;
+    auto expected = SelectMaxCoverage(*defaults, k);
+    auto selected = SelectMaxCoverage(*saturated, k);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+    EXPECT_EQ(*selected, *expected) << "k=" << k;
+  }
+}
 
 }  // namespace
 }  // namespace ssum
