@@ -140,8 +140,11 @@ class SummarizeServer {
   struct DatasetEntry {
     std::mutex mutex;  ///< single-flight: one load/build per dataset at a time
     std::shared_ptr<DatasetBundle> bundle;
-    /// Contexts keyed by (mode, epsilon bits): matrix construction depends
-    /// on them; selection-only parameters (k, algorithm) share a context.
+    /// Contexts keyed by (mode, epsilon bits). Matrix construction does not
+    /// depend on them (FingerprintMatrixOptions excludes both; only
+    /// SelectMaxCoverage reads them); the key exists because a context
+    /// carries its selection mode in SummarizeOptions. k and the algorithm
+    /// share a context. ROADMAP "One context per input" removes the split.
     std::map<std::pair<uint32_t, uint64_t>,
              std::shared_ptr<const SummarizerContext>>
         contexts;

@@ -1,4 +1,6 @@
-// Cross-module property tests over randomized schemas and databases.
+// Cross-module property tests over randomized schemas and databases:
+// RandomWorld schemas with consistent annotations, and tiny generated
+// scenarios for the instance-level properties.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +11,9 @@
 #include "core/metrics.h"
 #include "core/multilevel.h"
 #include "core/summarize.h"
+#include "datasets/scenario.h"
 #include "instance/conformance.h"
 #include "instance/materialize.h"
-#include "instance/random_instance.h"
 #include "query/discovery.h"
 #include "schema/schema_builder.h"
 #include "xml/instance_bridge.h"
@@ -86,6 +88,24 @@ struct RandomWorld {
     return a;
   }
 };
+
+/// A tiny generated scenario for the instance-level properties. The element
+/// budget (15-50) follows the seed; Choice groups and value links widen the
+/// shapes beyond what RandomWorld builds.
+ScenarioSpec TinySpec(uint64_t seed) {
+  Rng rng(seed);
+  ScenarioSpec spec;
+  spec.name = "tiny";
+  spec.seed = seed;
+  spec.schema_elements = 15 + static_cast<uint32_t>(rng.NextBounded(36));
+  spec.entity_classes = 3;
+  spec.max_depth = 5;
+  spec.choice_fraction = 0.15;
+  spec.value_link_fraction = 0.1;
+  spec.instance_units = 12;
+  spec.set_mean = 2.0;
+  return spec;
+}
 
 class PropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -212,10 +232,10 @@ TEST_P(PropertyTest, DominanceAgreesWithCoverageSwap) {
 }
 
 TEST_P(PropertyTest, RandomInstancesConformAndAnnotate) {
-  RandomWorld w(GetParam());
-  RandomInstanceOptions opts;
-  opts.seed = GetParam() * 31 + 7;
-  auto tree = GenerateRandomInstance(w.schema, opts);
+  auto ds = ScenarioDataset::Make(TinySpec(GetParam()));
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  const SchemaGraph& schema = ds->schema();
+  auto tree = MaterializeToDataTree(*ds->MakeStream());
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
   EXPECT_TRUE(CheckConformance(*tree).ok());
   auto ann = AnnotateSchema(*tree);
@@ -223,29 +243,29 @@ TEST_P(PropertyTest, RandomInstancesConformAndAnnotate) {
   // Every data node is counted exactly once.
   EXPECT_DOUBLE_EQ(ann->TotalCard(), static_cast<double>(tree->size()));
   // The instance-derived annotations drive a valid summary.
-  size_t k = std::min<size_t>(3, w.schema.size() - 2);
+  size_t k = std::min<size_t>(3, schema.size() - 2);
   if (k > 0) {
-    auto summary = Summarize(w.schema, *ann, k);
+    auto summary = Summarize(schema, *ann, k);
     ASSERT_TRUE(summary.ok()) << summary.status().ToString();
     EXPECT_TRUE(ValidateSummary(*summary).ok());
   }
 }
 
 TEST_P(PropertyTest, XmlRoundTripPreservesCardinalities) {
-  RandomWorld w(GetParam());
-  RandomInstanceOptions opts;
-  opts.seed = GetParam() * 17 + 3;
-  auto tree = GenerateRandomInstance(w.schema, opts);
-  ASSERT_TRUE(tree.ok());
+  auto ds = ScenarioDataset::Make(TinySpec(GetParam()));
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  const SchemaGraph& schema = ds->schema();
+  auto tree = MaterializeToDataTree(*ds->MakeStream());
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
   auto doc = MaterializeToXml(*tree);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   auto parsed = ParseXml(WriteXml(*doc));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  auto from_xml = AnnotateXmlDocument(w.schema, *parsed);
+  auto from_xml = AnnotateXmlDocument(schema, *parsed);
   ASSERT_TRUE(from_xml.ok()) << from_xml.status().ToString();
   Annotations direct = *AnnotateSchema(*tree);
-  for (ElementId e = 0; e < w.schema.size(); ++e) {
-    EXPECT_EQ(from_xml->card(e), direct.card(e)) << w.schema.PathOf(e);
+  for (ElementId e = 0; e < schema.size(); ++e) {
+    EXPECT_EQ(from_xml->card(e), direct.card(e)) << schema.PathOf(e);
   }
 }
 
